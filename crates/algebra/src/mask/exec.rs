@@ -184,11 +184,15 @@ impl<'a> ColumnarExec<'a> {
                 right,
                 left_arity: _,
                 pairs,
+                wildcard,
                 residual,
-                on: _,
+                on,
             } => {
                 let l = self.execute(left)?;
                 let r = self.execute(right)?;
+                // Null-wildcard conjuncts are checked as part of the whole
+                // join condition rather than hashed.
+                let residual = if wildcard.is_empty() { residual } else { on };
                 self.join(&l, &r, pairs, residual)?
             }
             PhysOp::Product(le, re) => {

@@ -29,7 +29,9 @@
 //!   ([`PhysOp::HashJoin`]), probing a [`certa_data::KeyIndex`] instead of
 //!   materialising the product (rows whose key involves a null fall back to
 //!   symbolic pairing when the domain demands it, see
-//!   [`Annotation::SYMBOLIC_NULLS`]);
+//!   [`Annotation::SYMBOLIC_NULLS`]); the *null-wildcard* equalities
+//!   `l = r ∨ null(l) ∨ null(r)` that the `(Q+, Q?)` rewriting makes of
+//!   equi-joins hash too, with null-bearing rows paired symbolically;
 //! * pushes selections into scans ([`PhysOp::Scan`]'s `filter`), so
 //!   filtered-out base tuples are never materialised;
 //! * moves intermediate results through operators by value — no
@@ -645,7 +647,13 @@ pub enum PhysOp {
         left_arity: usize,
         /// Equi-join key pairs `(left position, right position)`.
         pairs: Vec<(usize, usize)>,
-        /// Non-key conjuncts of `θ`, applied to the concatenated tuple.
+        /// Null-wildcard key pairs `(left position, right position)`: the
+        /// conjuncts `l = r ∨ null(l) ∨ null(r)`. A row with a null in one
+        /// of these columns pairs with the whole other side through `on`
+        /// (in every domain); every other row hashes on them.
+        wildcard: Vec<(usize, usize)>,
+        /// Conjuncts of `θ` that are neither key kind, applied to the
+        /// concatenated tuple.
         residual: Condition,
         /// The original `θ`, applied whole to symbolically-paired rows.
         on: Condition,
@@ -723,15 +731,20 @@ impl PhysOp {
                 left,
                 right,
                 pairs,
+                wildcard,
                 residual,
                 ..
             } => {
                 write!(f, "{pad}HashJoin on ")?;
-                for (i, (l, r)) in pairs.iter().enumerate() {
+                let keys = pairs
+                    .iter()
+                    .map(|p| (p, ""))
+                    .chain(wildcard.iter().map(|p| (p, " (∨ nulls)")));
+                for (i, ((l, r), nulls)) in keys.enumerate() {
                     if i > 0 {
                         write!(f, ", ")?;
                     }
-                    write!(f, "#{l} = right.#{r}")?;
+                    write!(f, "#{l} = right.#{r}{nulls}")?;
                 }
                 if *residual != crate::expr::Condition::True {
                     write!(f, " residual [{residual}]")?;
@@ -843,36 +856,82 @@ pub fn plan(expr: &RaExpr, schema: &Schema) -> Result<PhysOp> {
     })
 }
 
+/// The key pair `(left position, right position)` of an equality between
+/// attributes on opposite sides of a product with a left side of
+/// `left_arity` columns.
+fn cross_pair(i: usize, j: usize, left_arity: usize) -> Option<(usize, usize)> {
+    let (lo, hi) = (i.min(j), i.max(j));
+    (lo < left_arity && hi >= left_arity).then(|| (lo, hi - left_arity))
+}
+
+/// Recognize a *null-wildcard* equality `l = r ∨ null(l) ∨ null(r)`, with
+/// `l` and `r` on opposite sides of the product and the disjuncts in any
+/// order or nesting — the shape `possible_condition` gives an equi-join
+/// conjunct in the `Q?` translation. Returns its key pair.
+fn wildcard_pair(cond: &Condition, left_arity: usize) -> Option<(usize, usize)> {
+    fn disjuncts<'c>(cond: &'c Condition, out: &mut Vec<&'c Condition>) {
+        match cond {
+            Condition::Or(a, b) => {
+                disjuncts(a, out);
+                disjuncts(b, out);
+            }
+            other => out.push(other),
+        }
+    }
+    let mut leaves = Vec::with_capacity(3);
+    disjuncts(cond, &mut leaves);
+    let mut eq = None;
+    let mut tested = Vec::with_capacity(2);
+    for leaf in leaves {
+        match leaf {
+            Condition::Eq(Operand::Attr(i), Operand::Attr(j)) if eq.is_none() => {
+                eq = Some((*i, *j))
+            }
+            Condition::IsNull(a) => tested.push(*a),
+            _ => return None,
+        }
+    }
+    let (i, j) = eq?;
+    tested.sort_unstable();
+    if tested != [i.min(j), i.max(j)] {
+        return None;
+    }
+    cross_pair(i, j, left_arity)
+}
+
 /// Plan a selection: fuse `σ_θ(L × R)` into a hash join when `θ` has
-/// cross-side equality conjuncts, push the filter into a bare scan, or fall
-/// back to a plain select node.
+/// cross-side equality or null-wildcard conjuncts, push the filter into a
+/// bare scan, or fall back to a plain select node.
 fn plan_select(input: &RaExpr, cond: &Condition, schema: &Schema) -> Result<PhysOp> {
     if let RaExpr::Product(l, r) = input {
         let left_arity = l.arity(schema)?;
         let mut leaves = Vec::new();
         conjuncts(cond, &mut leaves);
         let mut pairs: Vec<(usize, usize)> = Vec::new();
+        let mut wildcard: Vec<(usize, usize)> = Vec::new();
         let mut residual: Vec<Condition> = Vec::new();
         for leaf in leaves {
             match &leaf {
                 Condition::Eq(Operand::Attr(i), Operand::Attr(j)) => {
-                    if *i < left_arity && *j >= left_arity {
-                        pairs.push((*i, *j - left_arity));
-                    } else if *j < left_arity && *i >= left_arity {
-                        pairs.push((*j, *i - left_arity));
-                    } else {
-                        residual.push(leaf);
+                    match cross_pair(*i, *j, left_arity) {
+                        Some(pair) => pairs.push(pair),
+                        None => residual.push(leaf),
                     }
                 }
+                Condition::Or(..) => match wildcard_pair(&leaf, left_arity) {
+                    Some(pair) => wildcard.push(pair),
+                    None => residual.push(leaf),
+                },
                 _ => residual.push(leaf),
             }
         }
-        if !pairs.is_empty() {
+        if !pairs.is_empty() || !wildcard.is_empty() {
             return Ok(PhysOp::HashJoin {
                 left: Box::new(plan(l, schema)?),
                 right: Box::new(plan(r, schema)?),
                 left_arity,
                 pairs,
+                wildcard,
                 residual: conjoin(residual),
                 on: cond.clone(),
             });
@@ -985,13 +1044,17 @@ where
             right,
             left_arity,
             pairs,
+            wildcard,
             residual,
             on,
         } => {
             let l = execute_with_cache(left, source, hook, cache)?;
             let r = execute_with_cache(right, source, hook, cache)?;
             debug_assert_eq!(l.arity(), *left_arity);
-            (OpKind::Join, hash_join(&l, &r, pairs, residual, on))
+            (
+                OpKind::Join,
+                hash_join(&l, &r, pairs, wildcard, residual, on),
+            )
         }
         PhysOp::Product(le, re) => {
             let l = execute_with_cache(le, source, hook, cache)?;
@@ -1066,29 +1129,39 @@ fn select_rel<A: Annotation>(input: AnnRel<A>, cond: &Condition) -> AnnRel<A> {
     out
 }
 
-/// Hash equi-join. Rows whose key is free of nulls (or every row, for
-/// domains with syntactic null equality) are matched through a
-/// [`KeyIndex`]; the rest are paired symbolically with the whole other side
-/// and filtered through [`Annotation::select`] with the full join
-/// condition.
+/// Hash equi-join. Rows whose key is free of nulls (or, for domains with
+/// syntactic null equality, whose wildcard key is) are matched through a
+/// [`KeyIndex`] on the plain and wildcard keys together; the rest are
+/// paired symbolically with the whole other side and filtered through
+/// [`Annotation::select`] with the full join condition.
+///
+/// A null in a wildcard key column satisfies its conjunct whatever the
+/// other side holds, so such a row cannot hash in any domain. Two rows with
+/// constants there satisfy it exactly when the constants are equal, which
+/// is what the index checks.
 fn hash_join<A: Annotation>(
     left: &AnnRel<A>,
     right: &AnnRel<A>,
     pairs: &[(usize, usize)],
+    wildcard: &[(usize, usize)],
     residual: &Condition,
     on: &Condition,
 ) -> AnnRel<A> {
-    let lkeys: Vec<usize> = pairs.iter().map(|&(l, _)| l).collect();
-    let rkeys: Vec<usize> = pairs.iter().map(|&(_, r)| r).collect();
+    let lkeys: Vec<usize> = pairs.iter().chain(wildcard).map(|&(l, _)| l).collect();
+    let rkeys: Vec<usize> = pairs.iter().chain(wildcard).map(|&(_, r)| r).collect();
+    let symbolic = |t: &Tuple, keys: &[usize]| {
+        let (plain, wild) = keys.split_at(pairs.len());
+        (A::SYMBOLIC_NULLS && key_has_null(t, plain)) || key_has_null(t, wild)
+    };
     let out_arity = left.arity() + right.arity();
     let mut out = AnnRel::new(out_arity);
 
     // Partition the right side: hashable rows vs. rows needing symbolic
-    // pairing (null in the key under a symbolic domain).
+    // pairing.
     let mut index = KeyIndex::new();
     let mut right_symbolic: Vec<usize> = Vec::new();
     for (i, (t, _)) in right.rows().iter().enumerate() {
-        if A::SYMBOLIC_NULLS && key_has_null(t, &rkeys) {
+        if symbolic(t, &rkeys) {
             right_symbolic.push(i);
         } else {
             index.insert(t, &rkeys, i);
@@ -1102,7 +1175,7 @@ fn hash_join<A: Annotation>(
     };
 
     for (lt, la) in left.rows() {
-        if A::SYMBOLIC_NULLS && key_has_null(lt, &lkeys) {
+        if symbolic(lt, &lkeys) {
             // Symbolic left row: pair with everything on the right.
             for (rt, ra) in right.rows() {
                 push_symbolic(&mut out, lt, la, rt, ra);
@@ -1398,6 +1471,7 @@ fn hoist(op: &PhysOp, invariant: &impl Fn(&str) -> bool, hoisted: &mut Vec<PhysO
             right,
             left_arity,
             pairs,
+            wildcard,
             residual,
             on,
         } => PhysOp::HashJoin {
@@ -1405,6 +1479,7 @@ fn hoist(op: &PhysOp, invariant: &impl Fn(&str) -> bool, hoisted: &mut Vec<PhysO
             right: Box::new(hoist(right, invariant, hoisted)),
             left_arity: *left_arity,
             pairs: pairs.clone(),
+            wildcard: wildcard.clone(),
             residual: residual.clone(),
             on: on.clone(),
         },
@@ -1776,6 +1851,148 @@ mod tests {
         match plan(&q, d.schema()).unwrap() {
             PhysOp::Select(inner, _) => assert!(matches!(*inner, PhysOp::Product(..))),
             other => panic!("expected select over product, got {other:?}"),
+        }
+    }
+
+    /// `R(a, b) × U(c, d)`, with nulls in every column.
+    fn wildcard_db() -> Database {
+        database_from_literal([
+            (
+                "R",
+                vec!["a", "b"],
+                vec![
+                    tup![1, 2],
+                    tup![2, Value::null(0)],
+                    tup![Value::null(1), 3],
+                    tup![3, 3],
+                ],
+            ),
+            (
+                "U",
+                vec!["c", "d"],
+                vec![
+                    tup![2, 1],
+                    tup![Value::null(0), 2],
+                    tup![3, Value::null(2)],
+                    tup![4, 3],
+                ],
+            ),
+        ])
+    }
+
+    /// `i = j ∨ null(i) ∨ null(j)`, as `possible_condition` writes it.
+    fn wild(i: usize, j: usize) -> Condition {
+        Condition::eq_attr(i, j)
+            .or(Condition::IsNull(i))
+            .or(Condition::IsNull(j))
+    }
+
+    /// Plain pairs, wildcard pairs and residual of a planned hash join.
+    type JoinKeys = (Vec<(usize, usize)>, Vec<(usize, usize)>, Condition);
+
+    /// Plan `σ_cond(R × U)` and return its hash-join keys and residual, or
+    /// `None` when the planner kept the product.
+    fn join_keys(cond: Condition) -> Option<JoinKeys> {
+        let q = RaExpr::rel("R").product(RaExpr::rel("U")).select(cond);
+        match plan(&q, wildcard_db().schema()).unwrap() {
+            PhysOp::HashJoin {
+                pairs,
+                wildcard,
+                residual,
+                ..
+            } => Some((pairs, wildcard, residual)),
+            PhysOp::Select(inner, _) if matches!(*inner, PhysOp::Product(..)) => None,
+            other => panic!("unexpected plan {other:?}"),
+        }
+    }
+
+    #[test]
+    fn planner_detects_wildcard_pairs_in_both_operand_orders() {
+        let expected = Some((vec![], vec![(1, 0)], Condition::True));
+        assert_eq!(join_keys(wild(1, 2)), expected);
+        assert_eq!(join_keys(wild(2, 1)), expected);
+        // Disjuncts in another order and nesting.
+        let shuffled = Condition::IsNull(2).or(Condition::eq_attr(2, 1).or(Condition::IsNull(1)));
+        assert_eq!(join_keys(shuffled), expected);
+    }
+
+    #[test]
+    fn planner_detects_conjoined_and_mixed_wildcard_pairs() {
+        assert_eq!(
+            join_keys(wild(0, 3).and(wild(1, 2))),
+            Some((vec![], vec![(0, 1), (1, 0)], Condition::True))
+        );
+        let mixed = wild(0, 3)
+            .and(Condition::eq_attr(2, 1))
+            .and(Condition::neq_const(0, 7));
+        assert_eq!(
+            join_keys(mixed),
+            Some((vec![(1, 0)], vec![(0, 1)], Condition::neq_const(0, 7)))
+        );
+    }
+
+    #[test]
+    fn planner_rejects_wildcard_near_misses() {
+        // The null tests must cover exactly the two compared attributes.
+        let wrong_attr = Condition::eq_attr(1, 2)
+            .or(Condition::IsNull(1))
+            .or(Condition::IsNull(3));
+        let one_sided = Condition::eq_attr(1, 2).or(Condition::IsNull(1));
+        for cond in [wrong_attr, one_sided] {
+            assert_eq!(join_keys(cond.clone()), None, "{cond}");
+            // Beside a plain pair, the near miss stays a residual conjunct.
+            assert_eq!(
+                join_keys(Condition::eq_attr(0, 3).and(cond.clone())),
+                Some((vec![(0, 1)], vec![], cond))
+            );
+        }
+        // Both attributes on one side: no join key at all.
+        assert_eq!(join_keys(wild(0, 1)), None);
+    }
+
+    #[test]
+    fn wildcard_pairs_render_in_explain() {
+        let q = RaExpr::rel("R")
+            .product(RaExpr::rel("U"))
+            .select(wild(1, 2).and(Condition::eq_attr(0, 3)));
+        let rendered = plan(&q, wildcard_db().schema()).unwrap().label();
+        assert_eq!(
+            rendered,
+            "HashJoin on #0 = right.#1, #1 = right.#0 (∨ nulls)"
+        );
+        let only_wild = RaExpr::rel("R")
+            .product(RaExpr::rel("U"))
+            .select(wild(1, 2));
+        let rendered = plan(&only_wild, wildcard_db().schema()).unwrap().label();
+        assert_eq!(rendered, "HashJoin on #1 = right.#0 (∨ nulls)");
+    }
+
+    #[test]
+    fn wildcard_hash_join_equals_filtered_product() {
+        let d = wildcard_db();
+        let conds = [
+            wild(1, 2),
+            wild(0, 3).and(wild(1, 2)),
+            wild(1, 2).and(Condition::eq_attr(0, 3)),
+            wild(0, 2).and(Condition::neq_const(3, 1)),
+        ];
+        for cond in conds {
+            let q = RaExpr::rel("R").product(RaExpr::rel("U")).select(cond);
+            assert!(matches!(
+                plan(&q, d.schema()).unwrap(),
+                PhysOp::HashJoin { .. }
+            ));
+            assert_eq!(
+                eval_set(&q, &d).unwrap(),
+                crate::reference::eval_set_reference(&q, &d).unwrap(),
+                "{q}"
+            );
+            let bags = d.to_bags();
+            assert_eq!(
+                eval_bag_physical(&q, &bags).unwrap(),
+                crate::reference::eval_bag_reference(&q, &bags).unwrap(),
+                "{q}"
+            );
         }
     }
 

@@ -2291,6 +2291,24 @@ mod tests {
         assert!(ex.to_string().contains("last governed run"), "{ex}");
     }
 
+    /// `(Q+, Q?)` on a three-way join stays linear in its input. `Q?`
+    /// writes each equi-join as `a = b ∨ null(a) ∨ null(b)`; a plan that
+    /// materialises the Customer × Orders product for it spends more rows
+    /// than this budget of twenty times the input, and the request refuses.
+    #[test]
+    fn approx37_three_way_join_fits_a_linear_row_budget() {
+        let config = certa_workload::TpchConfig::scaled_to(1000, 0.02, 7);
+        let db = certa_workload::TpchGenerator::new(config).generate();
+        let input: usize = db.iter().map(|(_, rel)| rel.len()).sum();
+        let sql = "SELECT c.name, o.orderkey, l.partkey FROM Customer c, Orders o, Lineitem l \
+                   WHERE c.custkey = o.custkey AND o.orderkey = l.orderkey AND c.nationkey = 1";
+        let mut p = Pipeline::new();
+        p.set_budget(Some(ExecBudget::new().with_row_budget(20 * input as u64)));
+        let out = p.execute(sql, &db, Scheme::Approx37).unwrap();
+        assert!(out.verdict.is_exact(), "{}", out.verdict);
+        assert!(!out.certain().is_empty());
+    }
+
     #[test]
     fn errors_are_unified() {
         let db = shop();

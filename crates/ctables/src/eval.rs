@@ -28,6 +28,7 @@ use certa_algebra::physical::{self, AnnRel, Annotation, OpKind, Source};
 use certa_algebra::{Condition, Operand, RaExpr};
 use certa_data::{Database, Relation, Tuple, Value};
 use certa_logic::Truth3;
+use std::collections::HashMap;
 
 /// The four evaluation strategies (§4.2): they differ in *when* conditions
 /// are grounded and whether forced equalities are propagated into tuples.
@@ -129,20 +130,36 @@ impl Annotation for CondAnn {
     /// unless that row is present *and* coincides with it, so the condition
     /// accumulates `¬(β ∧ s̄ = t̄)` over every unifiable right row
     /// (non-unifiable rows can never coincide and contribute nothing).
+    ///
+    /// The right side is partitioned into complete tuples, hashed to their
+    /// row indices, and null-bearing rows. A complete left tuple unifies
+    /// only with an equal complete tuple or a null-bearing row, so it visits
+    /// its bucket and the null-bearing rows, merged in ascending row order:
+    /// the conjuncts come out in the order a scan of every row gives. A
+    /// null-bearing left tuple still scans every row.
     fn difference(left: AnnRel<Self>, right: &AnnRel<Self>) -> AnnRel<Self> {
+        let rows = right.rows();
+        let mut complete: HashMap<&Tuple, Vec<usize>> = HashMap::new();
+        let mut with_nulls: Vec<usize> = Vec::new();
+        for (i, (s, _)) in rows.iter().enumerate() {
+            if s.has_null() {
+                with_nulls.push(i);
+            } else {
+                complete.entry(s).or_default().push(i);
+            }
+        }
         let mut out = AnnRel::new(left.arity());
         for (t, CondAnn(a)) in left.into_rows() {
-            let mut cond = a;
-            for (s, CondAnn(b)) in right.rows() {
-                if !certa_data::unifiable(&t, s) {
-                    continue;
-                }
-                let matched = b.clone().and(Cond::tuple_eq(&t, s));
-                if matched == Cond::Truth(Truth3::False) {
-                    continue;
-                }
-                cond = cond.and(matched.not());
-            }
+            let cond = if t.has_null() {
+                rows.iter()
+                    .fold(a, |cond, (s, CondAnn(b))| subtract_row(cond, &t, s, b))
+            } else {
+                let bucket = complete.get(&t).map_or(&[][..], Vec::as_slice);
+                merge_ascending(bucket, &with_nulls).fold(a, |cond, i| {
+                    let (s, CondAnn(b)) = &rows[i];
+                    subtract_row(cond, &t, s, b)
+                })
+            };
             out.push(t, CondAnn(cond));
         }
         out
@@ -166,9 +183,46 @@ impl Annotation for CondAnn {
     }
 }
 
-/// Source adapter: scan a conditional database with [`CondAnn`] conditions,
-/// applying pushed-down selections symbolically.
-struct CondSource<'a>(&'a CDatabase);
+/// `cond ∧ ¬(β ∧ s̄ = t̄)` for one right row `⟨s̄, β⟩` of a difference, or
+/// `cond` unchanged when the row cannot coincide with `t̄`.
+fn subtract_row(cond: Cond, t: &Tuple, s: &Tuple, b: &Cond) -> Cond {
+    if !certa_data::unifiable(t, s) {
+        return cond;
+    }
+    let matched = b.clone().and(Cond::tuple_eq(t, s));
+    if matched == Cond::Truth(Truth3::False) {
+        return cond;
+    }
+    cond.and(matched.not())
+}
+
+/// The union of two ascending, disjoint index lists, in ascending order.
+fn merge_ascending<'a>(a: &'a [usize], b: &'a [usize]) -> impl Iterator<Item = usize> + 'a {
+    let (mut i, mut j) = (0, 0);
+    std::iter::from_fn(move || {
+        let next = match (a.get(i), b.get(j)) {
+            (Some(&x), Some(&y)) if x < y => {
+                i += 1;
+                x
+            }
+            (_, Some(&y)) => {
+                j += 1;
+                y
+            }
+            (Some(&x), None) => {
+                i += 1;
+                x
+            }
+            (None, None) => return None,
+        };
+        Some(next)
+    })
+}
+
+/// Source adapter: scan an incomplete database as c-tables whose base rows
+/// all carry the condition `t`, applying pushed-down selections
+/// symbolically.
+struct CondSource<'a>(&'a Database);
 
 impl Source<CondAnn> for CondSource<'_> {
     fn scan(
@@ -176,17 +230,17 @@ impl Source<CondAnn> for CondSource<'_> {
         name: &str,
         filter: Option<&Condition>,
     ) -> certa_algebra::Result<AnnRel<CondAnn>> {
-        let table = self
+        let rel = self
             .0
-            .table(name)
-            .ok_or_else(|| certa_algebra::AlgebraError::UnknownRelation(name.to_string()))?;
-        let mut out = AnnRel::new(table.arity());
-        for ct in table.iter() {
-            let mut ann = CondAnn(ct.cond.clone());
-            if let Some(cond) = filter {
-                ann = ann.select(cond, &ct.tuple);
-            }
-            out.push(ct.tuple.clone(), ann);
+            .relation(name)
+            .map_err(|_| certa_algebra::AlgebraError::UnknownRelation(name.to_string()))?;
+        let mut out = AnnRel::new(rel.arity());
+        for t in rel.iter() {
+            let ann = match filter {
+                Some(cond) => CondAnn::one().select(cond, t),
+                None => CondAnn::one(),
+            };
+            out.push(t.clone(), ann);
         }
         Ok(out)
     }
@@ -248,7 +302,6 @@ pub fn eval_conditional(
     strategy: Strategy,
 ) -> Result<ConditionalResult> {
     expr.validate(db.schema())?;
-    let cdb = CDatabase::from_database(db);
     let physical_plan = physical::plan(expr, db.schema())?;
     let mut hook = |kind: OpKind, rel: AnnRel<CondAnn>| -> AnnRel<CondAnn> {
         match strategy {
@@ -258,7 +311,7 @@ pub fn eval_conditional(
             Strategy::Lazy | Strategy::Aware => rel,
         }
     };
-    let out = physical::execute(&physical_plan, &CondSource(&cdb), &mut hook)?;
+    let out = physical::execute(&physical_plan, &CondSource(db), &mut hook)?;
     // The lazy strategy grounds at differences only; the aware strategy not
     // at all: both keep symbolic conditions in the final table, which the
     // accessors ground on demand.

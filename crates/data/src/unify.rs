@@ -14,25 +14,42 @@
 use crate::tuple::Tuple;
 use crate::valuation::Valuation;
 use crate::value::{Const, NullId, Value};
-use std::collections::BTreeMap;
 
-/// Union–find structure over null identifiers with optional constant labels.
+/// Union–find over the nulls of one pair of tuples, with optional constant
+/// labels borrowed from the tuples. A pair holds at most twice its arity
+/// in distinct nulls, so a null's class is found by a linear scan.
 #[derive(Debug, Default)]
-struct NullClasses {
-    parent: BTreeMap<NullId, NullId>,
-    constant: BTreeMap<NullId, Const>,
+struct NullClasses<'a> {
+    classes: Vec<NullClass<'a>>,
 }
 
-impl NullClasses {
-    fn find(&mut self, n: NullId) -> NullId {
-        let p = *self.parent.entry(n).or_insert(n);
-        if p == n {
-            n
-        } else {
-            let root = self.find(p);
-            self.parent.insert(n, root);
-            root
+#[derive(Debug)]
+struct NullClass<'a> {
+    null: NullId,
+    /// Index of the parent class; a root is its own parent.
+    parent: usize,
+    /// The constant a root's class is bound to (unused on non-roots).
+    constant: Option<&'a Const>,
+}
+
+impl<'a> NullClasses<'a> {
+    /// The index of the root of null `n`'s class, adding `n` as a singleton
+    /// class if new.
+    fn find(&mut self, n: NullId) -> usize {
+        let Some(mut i) = self.classes.iter().position(|c| c.null == n) else {
+            self.classes.push(NullClass {
+                null: n,
+                parent: self.classes.len(),
+                constant: None,
+            });
+            return self.classes.len() - 1;
+        };
+        while self.classes[i].parent != i {
+            let grandparent = self.classes[self.classes[i].parent].parent;
+            self.classes[i].parent = grandparent;
+            i = grandparent;
         }
+        i
     }
 
     /// Merge the classes of two nulls. Fails if their constant labels clash.
@@ -42,52 +59,32 @@ impl NullClasses {
         if ra == rb {
             return true;
         }
-        match (
-            self.constant.get(&ra).cloned(),
-            self.constant.get(&rb).cloned(),
-        ) {
+        match (self.classes[ra].constant, self.classes[rb].constant) {
             (Some(ca), Some(cb)) if ca != cb => false,
             (ca, cb) => {
-                self.parent.insert(ra, rb);
-                if let Some(c) = ca.or(cb) {
-                    self.constant.insert(rb, c);
-                }
+                self.classes[ra].parent = rb;
+                self.classes[rb].constant = ca.or(cb);
                 true
             }
         }
     }
 
     /// Bind a null's class to a constant. Fails on clash.
-    fn bind(&mut self, n: NullId, c: &Const) -> bool {
+    fn bind(&mut self, n: NullId, c: &'a Const) -> bool {
         let r = self.find(n);
-        match self.constant.get(&r) {
+        match self.classes[r].constant {
             Some(existing) => existing == c,
             None => {
-                self.constant.insert(r, c.clone());
+                self.classes[r].constant = Some(c);
                 true
             }
         }
     }
 }
 
-/// `true` iff `r̄ ⇑ s̄`, i.e. some valuation makes the tuples equal.
-///
-/// Returns `false` when the arities differ.
-pub fn unifiable(r: &Tuple, s: &Tuple) -> bool {
-    unify(r, s).is_some()
-}
-
-/// Compute a most general unifier of two tuples, if one exists.
-///
-/// The returned [`Valuation`] maps every null occurring in either tuple to a
-/// constant such that applying it to both tuples yields the same
-/// all-constant tuple. Nulls whose class is not forced to any constant are
-/// mapped to a canonical fresh constant per class (so the witness is total on
-/// the tuples' nulls, as required by the definition of `⇑`).
-pub fn unify(r: &Tuple, s: &Tuple) -> Option<Valuation> {
-    if r.arity() != s.arity() {
-        return None;
-    }
+/// The null classes that equalize two same-arity tuples position by
+/// position, or `None` when some position forces a clash.
+fn null_classes<'a>(r: &'a Tuple, s: &'a Tuple) -> Option<NullClasses<'a>> {
     let mut classes = NullClasses::default();
     for (a, b) in r.iter().zip(s.iter()) {
         let ok = match (a, b) {
@@ -101,6 +98,44 @@ pub fn unify(r: &Tuple, s: &Tuple) -> Option<Valuation> {
             return None;
         }
     }
+    Some(classes)
+}
+
+/// `true` iff `r̄ ⇑ s̄`, i.e. some valuation makes the tuples equal.
+///
+/// Returns `false` when the arities differ. Builds no witness: constants
+/// are compared first, with an early exit, and the null classes are built
+/// only when a null occurs.
+pub fn unifiable(r: &Tuple, s: &Tuple) -> bool {
+    if r.arity() != s.arity() {
+        return false;
+    }
+    let mut has_null = false;
+    for (a, b) in r.iter().zip(s.iter()) {
+        match (a, b) {
+            (Value::Const(ca), Value::Const(cb)) => {
+                if ca != cb {
+                    return false;
+                }
+            }
+            _ => has_null = true,
+        }
+    }
+    !has_null || null_classes(r, s).is_some()
+}
+
+/// Compute a most general unifier of two tuples, if one exists.
+///
+/// The returned [`Valuation`] maps every null occurring in either tuple to a
+/// constant such that applying it to both tuples yields the same
+/// all-constant tuple. Nulls whose class is not forced to any constant are
+/// mapped to a canonical fresh constant per class (so the witness is total on
+/// the tuples' nulls, as required by the definition of `⇑`).
+pub fn unify(r: &Tuple, s: &Tuple) -> Option<Valuation> {
+    if r.arity() != s.arity() {
+        return None;
+    }
+    let mut classes = null_classes(r, s)?;
     // Build a witness valuation: constants forced by binding, otherwise a
     // fresh per-class constant.
     let mut val = Valuation::new();
@@ -113,11 +148,11 @@ pub fn unify(r: &Tuple, s: &Tuple) -> Option<Valuation> {
         .collect();
     for n in nulls {
         let root = classes.find(n);
-        let c = classes
-            .constant
-            .get(&root)
-            .cloned()
-            .unwrap_or_else(|| Const::str(format!("§unif{root}")));
+        let root = &classes.classes[root];
+        let c = match root.constant {
+            Some(c) => c.clone(),
+            None => Const::str(format!("§unif{}", root.null)),
+        };
         val.assign(n, c);
     }
     Some(val)

@@ -20,8 +20,9 @@
 //!   that cached answers before the crash never serves them afterwards:
 //!   zero pre-crash cache hits, every post-recovery answer recomputed.
 //!
-//! The crash schedule is process-global, so every test that arms it
-//! holds `CRASH_LOCK`. The byte-surgery and clean-shutdown tests need no
+//! The crash schedule is process-global, so every test in this file holds
+//! `FILE_LOCK`: a test that only writes would otherwise hit a crash armed
+//! by another. The byte-surgery and clean-shutdown tests need no
 //! feature; the injected-crash tests run under `--features
 //! fault-injection` (CI drives them over a seed matrix via
 //! `CERTA_RECOVERY_SEED_BASE`).
@@ -49,9 +50,16 @@ fn seed_base() -> u64 {
 }
 
 /// The crash schedule is process-global and the harness runs `#[test]`s
-/// concurrently: serialize every test that arms it.
-#[cfg(feature = "fault-injection")]
-static CRASH_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+/// concurrently, so a test writing a WAL while another has crashes armed
+/// can crash. Every test in the file holds this lock while it runs.
+static FILE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn serialize() -> std::sync::MutexGuard<'static, ()> {
+    // A failed test poisons the lock; the other tests still run.
+    FILE_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 fn test_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -226,6 +234,7 @@ fn assert_oracle_agreement(recovered: &Database, committed: &Database, seed: u64
 /// the final state exactly, and keeps doing so across further sessions.
 #[test]
 fn clean_shutdown_recovers_the_final_state_exactly() {
+    let _guard = serialize();
     for seed in 0..20u64 {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9).wrapping_add(1));
         let dir = test_dir(&format!("clean-{seed}"));
@@ -258,6 +267,7 @@ fn clean_shutdown_recovers_the_final_state_exactly() {
 /// last one, unless a deferred structural reset was still pending).
 #[test]
 fn kill_minus_nine_recovers_a_committed_state() {
+    let _guard = serialize();
     for seed in 0..20u64 {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x5851_F42D).wrapping_add(3));
         let dir = test_dir(&format!("kill-{seed}"));
@@ -283,6 +293,7 @@ fn kill_minus_nine_recovers_a_committed_state() {
 /// land on a committed prefix — never crash, never resurrect the tail.
 #[test]
 fn torn_and_flipped_wal_tails_recover_to_a_committed_prefix() {
+    let _guard = serialize();
     for seed in 0..8u64 {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0xA076_1D64).wrapping_add(9));
         let src = test_dir(&format!("surgery-src-{seed}"));
@@ -357,9 +368,7 @@ fn restore_dir(src: &Path, dst: &Path) {
 #[test]
 fn seeded_crash_schedules_recover_to_a_committed_prefix() {
     use certa::data::{arm_crashes, disarm_crashes};
-    let _guard = CRASH_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let _guard = serialize();
     let base = seed_base();
     let mut fired = 0usize;
     for case in 0..SCHEDULES {
@@ -405,9 +414,7 @@ fn seeded_crash_schedules_recover_to_a_committed_prefix() {
 #[test]
 fn snapshot_crash_leaves_previous_snapshot_loadable() {
     use certa::data::{arm_crash_site, disarm_crashes};
-    let _guard = CRASH_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let _guard = serialize();
     for (case, site) in ["snapshot:tmp", "snapshot:rename"].iter().enumerate() {
         let mut rng = StdRng::seed_from_u64(0xDEAD_0000 + case as u64);
         let dir = test_dir(&format!("snapcrash-{case}"));
@@ -449,9 +456,7 @@ fn snapshot_crash_leaves_previous_snapshot_loadable() {
 #[test]
 fn recovery_serves_zero_pre_crash_cache_hits() {
     use certa::data::{arm_crash_site, disarm_crashes};
-    let _guard = CRASH_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let _guard = serialize();
     let dir = test_dir("cachehygiene");
     let mut db =
         database_from_literal([("R", vec!["a"], vec![tup![1], tup![2], tup![Value::null(0)]])]);
