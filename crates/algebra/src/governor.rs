@@ -26,9 +26,10 @@
 //! A trip surfaces as a [`GovernorError`] and unwinds as an ordinary
 //! error; partial results are dropped, never served.
 //!
-//! The fault-injection harness ([`fault_hit`] / [`faultpoint!`]) is a
-//! no-op unless the `fault-injection` cargo feature is enabled *and* a
-//! seeded schedule is armed; then each site fires deterministically from
+//! The fault-injection harness ([`fault_hit`] /
+//! [`faultpoint!`](crate::faultpoint!)) is a no-op unless the
+//! `fault-injection` cargo feature is enabled *and* a seeded schedule is
+//! armed; then each site fires deterministically from
 //! `hash(seed, site, call#)`, as an injected error everywhere and as an
 //! injected panic at `worker:`-prefixed sites (which sit inside
 //! `catch_unwind` isolation).
@@ -490,9 +491,9 @@ mod faults {
 #[cfg(feature = "fault-injection")]
 pub use faults::{arm_faults, disarm_faults};
 
-/// The runtime entry behind [`faultpoint!`]. Always compiled so call sites
-/// need no feature gates of their own; inert without the `fault-injection`
-/// feature.
+/// The runtime entry behind [`faultpoint!`](crate::faultpoint!). Always
+/// compiled so call sites need no feature gates of their own; inert without
+/// the `fault-injection` feature.
 #[inline]
 pub fn fault_hit(site: &'static str) -> Result<(), GovernorError> {
     #[cfg(feature = "fault-injection")]

@@ -23,27 +23,27 @@
 //!   intersection/difference) instantiated over annotation domains, plus
 //!   the evaluate-once world split ([`physical::PreparedWorldQuery`]) that
 //!   hoists null-independent subplans out of per-world execution;
-//! * [`mask`] — the **world-mask domain** ([`mask::MaskAnn`]): every tuple
-//!   carries a bitset of the possible worlds containing it, so the whole
+//! * [`mask`] — **world-mask evaluation** ([`mask::ColumnarExec`]): every
+//!   row carries a bitset of the possible worlds containing it, so the whole
 //!   possible-worlds quantification is answered in a *single* plan
 //!   execution, 64 worlds per word operation — including the extended
 //!   operators and the syntactic predicates outside the lineage fragment;
-//!   its columnar form ([`mask::columnar`], [`mask::exec`]) stores all mask
-//!   words of a relation in one contiguous arena and drives the plan
-//!   batch-at-a-time through the explicit word kernels of [`mask::kernel`];
+//!   the executor stores all mask words of a relation in one contiguous
+//!   arena ([`mask::columnar`]) and drives the plan batch-at-a-time through
+//!   the explicit word kernels of [`mask::kernel`];
 //! * [`morsel`] — the morsel-driven scheduler ([`morsel::MorselPool`]):
 //!   scoped worker threads pulling ~1k-row chunks off an atomic cursor,
 //!   with morsel-order result delivery so parallel runs are bit-identical
 //!   to sequential ones;
-//! * [`eval`] — set-semantics evaluation (nulls treated as plain values,
-//!   i.e. the evaluation underlying naïve evaluation), an adapter over the
-//!   physical engine at [`physical::SetAnn`];
+//! * [`eval`](mod@eval) — set-semantics evaluation (nulls treated as plain
+//!   values, i.e. the evaluation underlying naïve evaluation), an adapter
+//!   over the physical engine at [`physical::SetAnn`];
 //! * [`bag_eval`] — bag-semantics evaluation consistent with SQL (§4.2), an
 //!   adapter over the physical engine at [`physical::BagAnn`];
 //! * [`naive`] — naïve evaluation `Qⁿᵃⁱᵛᵉ(D) = v⁻¹(Q(v(D)))` (§4.1),
-//!   routed through [`eval`] and therefore through the engine;
-//! * [`reference`] — the seed's recursive clone-per-node interpreters, kept
-//!   as oracles for property tests and ablation benches;
+//!   routed through [`eval`](mod@eval) and therefore through the engine;
+//! * [`reference`](mod@reference) — the seed's recursive clone-per-node
+//!   interpreters, kept as oracles for property tests and ablation benches;
 //! * [`fragment`] — syntactic classification of queries into the fragments
 //!   for which the survey gives naïve-evaluation guarantees (CQ, UCQ /
 //!   positive RA, Pos∀G, full RA);
@@ -80,9 +80,7 @@ pub use eval::eval;
 pub use expr::{Condition, Operand, RaExpr};
 pub use fragment::{classify, Fragment};
 pub use governor::{CancelToken, ExecBudget, Governor, GovernorAccounting};
-pub use mask::{
-    ColumnarContext, ColumnarExec, ColumnarRel, ExecStats, MaskAnn, MaskContext, MaskSource,
-};
+pub use mask::{ColumnarContext, ColumnarExec, ColumnarRel, ExecStats};
 pub use morsel::{effective_threads, MorselPool, MORSEL_ROWS};
 pub use naive::naive_eval;
 pub use opt::{optimize, optimize_with, Stats};

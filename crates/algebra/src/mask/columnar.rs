@@ -1,23 +1,19 @@
 //! Columnar mask storage: contiguous arenas of mask words, indexed by row.
 //!
-//! The `Rc<MaskBuf>` representation of [`super::MaskAnn`] is ideal for the
-//! annotation-generic engine — O(1) copies, structural sharing — but its
-//! inner loops chase a pointer per tuple. The columnar layout inverts the
-//! ownership: a relation owns **one** `Vec<u64>` arena holding every
-//! explicit mask back to back ([`MaskArena`]), and each row carries only a
-//! 4-byte slot index ([`RowMask`]). Batch operations — AND a join's matches,
-//! OR a projection's duplicates, popcount an output — become loops over
+//! A relation owns **one** `Vec<u64>` arena holding every explicit mask
+//! back to back ([`MaskArena`]), and each row carries only a 4-byte slot
+//! index ([`RowMask`]). Batch operations — AND a join's matches, OR a
+//! projection's duplicates, popcount an output — become loops over
 //! contiguous slices, dispatched to the width-selected kernels of
-//! [`super::kernel`].
+//! [`super::kernel`], with no pointer chased per tuple.
 //!
 //! Two canonical row states avoid storing trivial masks at all: `Full`
 //! (every world; the ubiquitous null-free rows) is a variant, and
 //! empty-mask rows are simply never stored (the engine's zero-row drop
-//! invariant). [`ColumnarContext`] is the columnar twin of
-//! [`super::MaskContext`]: the same null order, pool, and stripe masks, but
-//! with the stripes in a contiguous arena and the substitution-class
-//! expansion writing cylinders straight into caller scratch — and, unlike
-//! the `Rc` context, it is `Send + Sync`, so morsel workers share it by
+//! invariant). [`ColumnarContext`] describes the valuation space: the null
+//! order, the constant pool, and the stripe masks in one contiguous arena,
+//! with the substitution-class expansion writing cylinders straight into
+//! caller scratch. It is `Send + Sync`, so morsel workers share it by
 //! reference.
 
 use certa_data::valuation::count_valuations;
@@ -367,7 +363,7 @@ impl ColumnarContext {
         if worlds == usize::MAX {
             return None;
         }
-        let width = super::words_for(worlds);
+        let width = kernel::words_for(worlds);
         let k = pool.len();
         let mut stripes = MaskArena::with_capacity(width, nulls.len() * k);
         let mut step = 1usize; // k^p
@@ -378,7 +374,7 @@ impl ColumnarContext {
                 let mut lo = c * step;
                 while lo < worlds {
                     let hi = (lo + step).min(worlds);
-                    super::set_range(words, lo, hi);
+                    kernel::set_range(words, lo, hi);
                     lo += step * k;
                 }
             }
@@ -559,6 +555,7 @@ impl ColumnarContext {
 mod tests {
     use super::*;
     use certa_data::tup;
+    use certa_data::valuation::valuation_at;
 
     fn ctx(nulls: usize, pool: usize) -> ColumnarContext {
         ColumnarContext::new(
@@ -568,24 +565,33 @@ mod tests {
         .unwrap()
     }
 
+    /// Whether world `idx` is in a mask.
+    fn bit(words: &[u64], idx: usize) -> bool {
+        words[idx / 64] >> (idx % 64) & 1 == 1
+    }
+
     #[test]
-    fn stripes_match_the_rc_context() {
+    fn stripes_match_the_valuation_order() {
         let c = ctx(2, 3);
-        let rc = super::super::MaskContext::new(0..2, (0..3).map(Const::Int)).unwrap();
-        assert_eq!(c.worlds(), rc.worlds());
-        assert_eq!(c.width(), rc.words());
-        for p in 0..2 {
-            let mut total = 0;
-            for ci in 0..3 {
-                total += kernel::popcount(c.stripe(p, ci));
+        assert_eq!((c.worlds(), c.width()), (9, 1));
+        // World idx is in stripe (p, ci) iff the idx-th valuation maps null
+        // p to pool constant ci — the order the world engines decode, so
+        // each digit's stripes partition the worlds. Digit 0 varies
+        // fastest: stripe (0, ci) is the congruence class idx ≡ ci (mod 3).
+        for idx in 0..c.worlds() {
+            let v = valuation_at(c.nulls(), c.pool(), idx);
+            for (p, &n) in c.nulls().iter().enumerate() {
+                for (ci, k) in c.pool().iter().enumerate() {
+                    let expected = v.get(n) == Some(k);
+                    assert_eq!(
+                        bit(c.stripe(p, ci), idx),
+                        expected,
+                        "idx {idx} stripe ({p}, {ci})"
+                    );
+                }
             }
-            assert_eq!(total, c.worlds(), "stripes of digit {p} must partition");
-        }
-        // Digit 0 varies fastest: idx ≡ c (mod 3).
-        for ci in 0..3 {
-            let w = c.stripe(0, ci);
-            for idx in 0..9 {
-                assert_eq!(w[0] >> idx & 1 == 1, idx % 3 == ci, "idx {idx} stripe {ci}");
+            for ci in 0..3 {
+                assert_eq!(bit(c.stripe(0, ci), idx), idx % 3 == ci);
             }
         }
     }

@@ -1,20 +1,21 @@
 //! The columnar, batch-at-a-time mask executor.
 //!
 //! [`ColumnarExec`] evaluates the same [`PhysOp`] trees the generic engine
-//! runs, but over [`ColumnarRel`] batches instead of per-row
-//! `Rc`-annotated tuples: every mask op is a kernel call over contiguous
-//! arena slices, and the expensive stages — incomplete-scan expansion,
-//! hash-join probe, product — are **morsel-parallel** through a
-//! [`MorselPool`].
+//! runs, but over [`ColumnarRel`] batches whose rows carry world masks:
+//! every mask op is a kernel call over contiguous arena slices, and the
+//! expensive stages — incomplete-scan expansion, hash-join probe, product —
+//! are **morsel-parallel** through a [`MorselPool`].
 //!
-//! Semantics are exactly those of the `Rc`-based [`super::MaskAnn`]
-//! instantiation of the engine (which stays in the tree as the oracle the
-//! differential tests compare against): scans expand null-substitution
-//! classes and OR collapsing classes, join/∩ AND, ∪/π OR, −/÷/⋉⇑ AND-NOT,
-//! selections decide uniformly on ground rows. Determinism is structural:
-//! parallel stages produce per-morsel partial relations that are merged
-//! **in morsel order**, so the executor's output — row order included — is
-//! bit-identical at every worker count.
+//! Semantics are those of evaluating the plan in every possible world at
+//! once: scans expand null-substitution classes and OR collapsing classes,
+//! join/∩ AND, ∪/π OR, −/÷/⋉⇑ AND-NOT, selections decide uniformly on
+//! ground rows. The differential tests below hold every operator to
+//! per-world enumeration: the world set of each output row must be exactly
+//! the worlds whose reference evaluation contains it.
+//!
+//! Determinism is structural: parallel stages produce per-morsel partial
+//! relations that are merged **in morsel order**, so the executor's output
+//! — row order included — is bit-identical at every worker count.
 //!
 //! [`PhysOp::Cached`] nodes are rejected: the mask path runs the plain
 //! (unhoisted) plan, where world-invariant caching has nothing to cache
@@ -685,76 +686,11 @@ fn tuple_map(rel: &ColumnarRel) -> FxHashMap<&Tuple, RowMask> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{MaskAnn, MaskContext, MaskSource};
+    use super::super::tests::assert_matches_world_enumeration;
     use super::*;
     use crate::expr::RaExpr;
-    use crate::physical::{execute, identity_hook, plan};
+    use crate::physical::plan;
     use certa_data::{database_from_literal, tup, Const};
-    use std::collections::BTreeMap;
-
-    /// Canonical form of a mask result: tuple → sorted world indices.
-    type WorldSets = BTreeMap<Tuple, Vec<usize>>;
-
-    fn columnar_world_sets(rel: &ColumnarRel, worlds: usize) -> WorldSets {
-        let mut out = WorldSets::new();
-        for (t, rm) in rel.rows() {
-            let set: Vec<usize> = match rel.mask(*rm) {
-                MaskRef::Full => (0..worlds).collect(),
-                MaskRef::Words(w) => (0..worlds)
-                    .filter(|i| w[i / 64] >> (i % 64) & 1 == 1)
-                    .collect(),
-            };
-            if !set.is_empty() {
-                out.insert(t.clone(), set);
-            }
-        }
-        out
-    }
-
-    fn rc_world_sets(rows: &[(Tuple, MaskAnn)], worlds: usize) -> WorldSets {
-        let mut out = WorldSets::new();
-        for (t, m) in rows {
-            let set: Vec<usize> = (0..worlds)
-                .filter(|&i| match m {
-                    MaskAnn::Zero => false,
-                    MaskAnn::Full => true,
-                    MaskAnn::Bits(b) => b.words()[i / 64] >> (i % 64) & 1 == 1,
-                })
-                .collect();
-            if !set.is_empty() {
-                out.insert(t.clone(), set);
-            }
-        }
-        out
-    }
-
-    /// Execute `query` through the columnar executor (at 1 and several
-    /// workers) and through the Rc-annotation engine, and assert identical
-    /// world sets — the differential pin for the new executor.
-    fn assert_matches_rc_engine(query: &RaExpr, db: &Database, pool: &[i64]) {
-        let consts: Vec<Const> = pool.iter().map(|c| Const::Int(*c)).collect();
-        let physical = plan(query, db.schema()).unwrap();
-
-        let rc_ctx = MaskContext::new(db.nulls(), consts.clone()).unwrap();
-        let source = MaskSource::new(db, &rc_ctx);
-        let rc_out = execute(&physical, &source, &mut identity_hook).unwrap();
-        let expected = rc_world_sets(rc_out.rows(), rc_ctx.worlds());
-
-        let ctx = ColumnarContext::new(db.nulls(), consts).unwrap();
-        let mut at_one = None;
-        for workers in [1usize, 2, 8] {
-            let exec = ColumnarExec::new(db, &ctx, MorselPool::new(workers));
-            let rel = exec.execute(&physical).unwrap();
-            let got = columnar_world_sets(&rel, ctx.worlds());
-            assert_eq!(got, expected, "{query} at {workers} workers vs Rc engine");
-            // Bit-identical across worker counts, row order included.
-            let shape: Vec<(Tuple, RowMask)> = rel.rows().to_vec();
-            match &at_one {
-                None => at_one = Some(shape),
-                Some(base) => assert_eq!(&shape, base, "{query}: row order at {workers} workers"),
-            }
-        }
-    }
 
     fn db() -> Database {
         database_from_literal([
@@ -773,7 +709,7 @@ mod tests {
     }
 
     #[test]
-    fn columnar_matches_rc_engine_on_core_operators() {
+    fn columnar_matches_world_enumeration_on_core_operators() {
         let d = db();
         let queries = vec![
             RaExpr::rel("R"),
@@ -789,12 +725,12 @@ mod tests {
                 .difference(RaExpr::rel("S")),
         ];
         for q in queries {
-            assert_matches_rc_engine(&q, &d, &[1, 2, 3]);
+            assert_matches_world_enumeration(&q, &d, &[1, 2, 3]);
         }
     }
 
     #[test]
-    fn columnar_matches_rc_engine_on_extended_operators() {
+    fn columnar_matches_world_enumeration_on_extended_operators() {
         let d = db();
         let queries = vec![
             RaExpr::rel("R").divide(RaExpr::rel("S")),
@@ -807,7 +743,7 @@ mod tests {
                 .project(vec![1]),
         ];
         for q in queries {
-            assert_matches_rc_engine(&q, &d, &[1, 2]);
+            assert_matches_world_enumeration(&q, &d, &[1, 2]);
         }
     }
 
@@ -829,7 +765,7 @@ mod tests {
             RaExpr::DomPower(4),
             RaExpr::DomPower(3).difference(RaExpr::DomPower(3).select(Condition::eq_attr(0, 1))),
         ] {
-            assert_matches_rc_engine(&q, &nulls_only, &[1, 2]);
+            assert_matches_world_enumeration(&q, &nulls_only, &[1, 2]);
         }
         // Mixed base constants and nulls, pool disjoint from the base
         // active domain: striped members sit after Full ones, so their
@@ -839,7 +775,7 @@ mod tests {
             RaExpr::DomPower(3),
             RaExpr::DomPower(3).intersect(RaExpr::rel("R").product(RaExpr::rel("S"))),
         ] {
-            assert_matches_rc_engine(&q, &d, &[5, 6]);
+            assert_matches_world_enumeration(&q, &d, &[5, 6]);
         }
     }
 
@@ -853,13 +789,14 @@ mod tests {
         let queries = vec![
             RaExpr::rel("R").select(Condition::IsNull(1)),
             RaExpr::rel("R").select(Condition::IsConst(0)),
+            RaExpr::rel("R").select(Condition::IsNull(0).or(Condition::eq_const(1, 2))),
             RaExpr::rel("S").union(lit.clone()),
             RaExpr::rel("S").difference(lit.clone()),
             lit.clone().difference(RaExpr::rel("S")),
             RaExpr::rel("R").project(vec![1]).intersect(lit),
         ];
         for q in queries {
-            assert_matches_rc_engine(&q, &d, &[1, 2, 3]);
+            assert_matches_world_enumeration(&q, &d, &[1, 2, 3]);
         }
     }
 

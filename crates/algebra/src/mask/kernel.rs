@@ -15,12 +15,48 @@
 //!   iteration — exactly the shape LLVM auto-vectorizes into 128/256-bit
 //!   lanes — with a scalar tail for the remainder.
 //!
-//! The split lives in [`zip2_map`]/[`zip1_fold`]-style generic drivers; the
-//! public kernels are thin `#[inline]` wrappers that monomorphize the word
-//! operation into the loop body.
+//! The split lives in the generic drivers `zip2_into`, `zip2_assign` and
+//! `zip2_popcount`; the public kernels are thin `#[inline]` wrappers that
+//! monomorphize the word operation into the loop body.
+//!
+//! Masks keep one invariant: bits at or above the world count in the last
+//! block are always zero (`tail_mask`).
 
 /// Widths at or above this many words take the 4-wide unrolled loops.
 const UNROLL_WIDTH: usize = 4;
+
+/// Number of `u64` blocks needed for `bits` worlds.
+pub(crate) fn words_for(bits: usize) -> usize {
+    bits.div_ceil(64)
+}
+
+/// The valid-bit mask of the last block (all-ones when `bits` is a
+/// multiple of 64).
+pub(crate) fn tail_mask(bits: usize) -> u64 {
+    match bits % 64 {
+        0 => !0,
+        r => (1u64 << r) - 1,
+    }
+}
+
+/// Set bits `[lo, hi)` in a block buffer.
+pub(crate) fn set_range(words: &mut [u64], lo: usize, hi: usize) {
+    if lo >= hi {
+        return;
+    }
+    let (lw, hw) = (lo / 64, (hi - 1) / 64);
+    let lo_mask = !0u64 << (lo % 64);
+    let hi_mask = !0u64 >> (63 - (hi - 1) % 64);
+    if lw == hw {
+        words[lw] |= lo_mask & hi_mask;
+    } else {
+        words[lw] |= lo_mask;
+        for w in &mut words[lw + 1..hw] {
+            *w = !0;
+        }
+        words[hw] |= hi_mask;
+    }
+}
 
 /// `dst[i] = f(a[i], b[i])` over equal-length slices.
 #[inline]
@@ -142,7 +178,7 @@ pub fn andnot_assign(dst: &mut [u64], src: &[u64]) {
 pub fn not_into(dst: &mut [u64], src: &[u64], bits: usize) {
     zip2_assign(dst, src, |_, y| !y);
     if let Some(last) = dst.last_mut() {
-        *last &= super::tail_mask(bits);
+        *last &= tail_mask(bits);
     }
 }
 
@@ -153,7 +189,7 @@ pub fn fill(dst: &mut [u64], bits: usize) {
         *w = !0;
     }
     if let Some(last) = dst.last_mut() {
-        *last &= super::tail_mask(bits);
+        *last &= tail_mask(bits);
     }
 }
 
@@ -286,5 +322,16 @@ mod tests {
         assert!(!covers(&small, &big));
         assert!(covers(&big, &big));
         assert!(covers(&small, &[0, 0, 0]));
+    }
+
+    #[test]
+    fn set_range_handles_word_boundaries() {
+        let mut words = vec![0u64; 3];
+        set_range(&mut words, 60, 70);
+        assert_eq!(popcount(&words), 10);
+        assert_eq!(words[0], !0u64 << 60);
+        assert_eq!(words[1], (1u64 << 6) - 1);
+        set_range(&mut words, 0, 192);
+        assert_eq!(popcount(&words), 192);
     }
 }

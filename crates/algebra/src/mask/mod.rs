@@ -1,53 +1,44 @@
-//! The **world-mask** annotation domain: single-pass multi-world
-//! evaluation.
+//! **World-mask** evaluation: single-pass multi-world evaluation.
 //!
 //! The survey's central objects — certain answers (§3.2), candidate
 //! classification, and the `µ_k` support measure (§4.3) — are all
 //! aggregations over the possible-worlds expansion `⟦D⟧ = { v(D) }` of an
 //! incomplete database. The enumeration backend executes the physical plan
 //! once *per world*; this module executes it **once in total**, by pushing
-//! the quantification over worlds into the annotations:
+//! the quantification over worlds into the rows:
 //!
-//! * a tuple is annotated with a fixed-width bitset ([`MaskAnn`]) recording
-//!   **exactly which worlds contain it**, one bit per valuation in the
-//!   lexicographic enumeration order of [`certa_data::valuation`] (the
-//!   same order the world engines decode, so world indices agree);
+//! * a row carries a fixed-width bitset recording **exactly which worlds
+//!   contain it**, one bit per valuation in the lexicographic enumeration
+//!   order of [`certa_data::valuation`] (the same order the world engines
+//!   decode, so world indices agree);
 //! * scans expand each base tuple's null-substitution classes into
 //!   `(ground tuple, mask)` pairs: a tuple with `m` distinct nulls over a
 //!   `k`-constant pool becomes at most `k^m` ground tuples, each carrying
 //!   the *cylinder* of worlds whose valuation makes that substitution;
-//! * selection keeps or zeroes a row (ground rows decide conditions
+//! * selection keeps or drops a row (ground rows decide conditions
 //!   world-independently), join/∩ AND masks, ∪ and duplicate-collapsing
 //!   projection OR them, − and the extended ÷/⋉⇑ AND with complements;
 //! * at the output, certainty is `mask = all worlds`, certain falsity is
 //!   `mask = ∅`, and `µ_k` is `popcount(mask) / worlds` — all read off the
 //!   **same single pass**.
 //!
-//! Unlike the lineage (knowledge-compilation) backend, the mask domain has
+//! Unlike the lineage (knowledge-compilation) backend, mask evaluation has
 //! **no fragment boundary**: syntactic `null(·)`/`const(·)` predicates,
 //! null-bearing literals and the extended operators (÷, `Domᵏ`, `⋉⇑`) are
-//! all exact, because every row the engine touches is already ground (or
+//! all exact, because every row the executor touches is already ground (or
 //! carries an opaque literal null that valuations never touch — exactly the
 //! per-world reading). Its cost is `plan cost × ⌈worlds/64⌉` word
 //! operations instead of `plan cost × worlds` plan executions: 64 worlds
-//! are decided per instruction, and the block loops are simple slice zips
-//! the compiler auto-vectorizes.
+//! are decided per instruction.
 //!
-//! Masks are reference-counted ([`std::rc::Rc`]) so annotation copies are
-//! O(1), and the backing `Vec<u64>` blocks are recycled through a
-//! thread-local **arena** — steady-state evaluation allocates no per-tuple
-//! buffers.
-
-use crate::expr::Condition;
-use crate::physical::{AnnRel, Annotation, Source};
-use crate::{AlgebraError, Result};
-use certa_data::valuation::count_valuations;
-use certa_data::{Const, Database, NullId, Tuple, Value};
-use std::cell::RefCell;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::rc::Rc;
+//! The executor is columnar: [`columnar`] stores every explicit mask of a
+//! relation back to back in one arena, [`kernel`] holds the width-selected
+//! word loops over those slices, and [`exec`] runs physical plans over the
+//! arenas with morsel-parallel scans, probes and aggregation. Its
+//! differential oracle is per-world enumeration: the tests of this module
+//! and of [`exec`] rebuild every world with
+//! [`certa_data::valuation::valuation_at`] and evaluate the query on it
+//! with [`crate::reference::eval_set_reference`].
 
 pub mod columnar;
 pub mod exec;
@@ -58,768 +49,83 @@ pub use columnar::{ColumnarContext, ColumnarRel, MaskArena, MaskRef, RowMask};
 pub use exec::{ColumnarExec, ExecStats};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 
-// ---------------------------------------------------------------------------
-// The block arena.
+#[cfg(test)]
+mod tests {
+    //! The module's contract against per-world enumeration, over masks
+    //! wider than one word. [`assert_matches_world_enumeration`] is the
+    //! differential oracle the executor's own tests share.
 
-thread_local! {
-    /// Recycled mask blocks: dropping the last reference to a [`MaskBuf`]
-    /// returns its `Vec<u64>` here, and the next allocation reuses it.
-    /// The second field tracks the total retained capacity in words.
-    static ARENA: RefCell<(Vec<Vec<u64>>, usize)> = const { RefCell::new((Vec::new(), 0)) };
-}
+    use super::*;
+    use crate::expr::{Condition, RaExpr};
+    use crate::morsel::MorselPool;
+    use crate::physical::plan;
+    use certa_data::valuation::valuation_at;
+    use certa_data::{database_from_literal, tup, Const, Database, NullId, Tuple, Value};
+    use std::collections::BTreeMap;
 
-/// Cap on the number of recycled buffers kept alive.
-const ARENA_CAP: usize = 4096;
+    /// Canonical form of a mask result: tuple → sorted world indices.
+    type WorldSets = BTreeMap<Tuple, Vec<usize>>;
 
-/// Cap on the total retained capacity, in `u64` words (32 MiB): a single
-/// huge-world pass must not pin buffer memory for the thread's lifetime —
-/// past the budget, freed blocks are genuinely released to the allocator.
-const ARENA_CAP_WORDS: usize = 4 << 20;
-
-fn arena_take(words: usize) -> Vec<u64> {
-    let recycled = ARENA.with(|a| {
-        let (pool, retained) = &mut *a.borrow_mut();
-        let v = pool.pop();
-        if let Some(v) = &v {
-            *retained -= v.capacity();
-        }
-        v
-    });
-    match recycled {
-        Some(mut v) => {
-            v.clear();
-            v.resize(words, 0);
-            v
-        }
-        None => vec![0u64; words],
-    }
-}
-
-fn arena_put(words: Vec<u64>) {
-    if words.capacity() == 0 {
-        return;
-    }
-    ARENA.with(|a| {
-        let (pool, retained) = &mut *a.borrow_mut();
-        if pool.len() < ARENA_CAP && *retained + words.capacity() <= ARENA_CAP_WORDS {
-            *retained += words.capacity();
-            pool.push(words);
-        }
-    });
-}
-
-/// Drain the thread-local recycled-buffer arena, genuinely releasing every
-/// retained block to the allocator.
-///
-/// Morsel workers ([`crate::morsel::MorselPool`]) and the world engines call
-/// this on scope exit so buffers recycled on a short-lived worker thread are
-/// freed deterministically when the pool shuts down, instead of riding on
-/// thread-local destructor timing.
-pub fn arena_drain() {
-    ARENA.with(|a| {
-        let (pool, retained) = &mut *a.borrow_mut();
-        pool.clear();
-        *retained = 0;
-    });
-}
-
-/// Occupancy of this thread's recycled-buffer arena:
-/// `(retained buffers, retained capacity in u64 words)`.
-pub fn arena_occupancy() -> (usize, usize) {
-    ARENA.with(|a| {
-        let (pool, retained) = &*a.borrow();
-        (pool.len(), *retained)
-    })
-}
-
-/// Number of `u64` blocks needed for `bits` worlds.
-pub(crate) fn words_for(bits: usize) -> usize {
-    bits.div_ceil(64)
-}
-
-/// The valid-bit mask of the last block (all-ones when `bits` is a
-/// multiple of 64).
-pub(crate) fn tail_mask(bits: usize) -> u64 {
-    match bits % 64 {
-        0 => !0,
-        r => (1u64 << r) - 1,
-    }
-}
-
-/// An owned block buffer whose storage returns to the thread-local arena on
-/// drop. Invariant: bits above `bits` in the last block are always zero.
-pub struct MaskBuf {
-    words: Vec<u64>,
-    bits: usize,
-}
-
-impl MaskBuf {
-    fn zeroed(bits: usize) -> MaskBuf {
-        MaskBuf {
-            words: arena_take(words_for(bits)),
-            bits,
-        }
+    /// Whether world `idx` is in a mask.
+    fn bit(words: &[u64], idx: usize) -> bool {
+        words[idx / 64] >> (idx % 64) & 1 == 1
     }
 
-    /// The blocks, 64 worlds per word, least-significant bit = world 0.
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
-    /// The number of worlds the mask covers.
-    pub fn bits(&self) -> usize {
-        self.bits
-    }
-}
-
-impl Drop for MaskBuf {
-    fn drop(&mut self) {
-        arena_put(std::mem::take(&mut self.words));
-    }
-}
-
-impl std::fmt::Debug for MaskBuf {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "MaskBuf({} bits, {} set)",
-            self.bits,
-            popcount(&self.words)
-        )
-    }
-}
-
-fn popcount(words: &[u64]) -> usize {
-    words.iter().map(|w| w.count_ones() as usize).sum()
-}
-
-// ---------------------------------------------------------------------------
-// The annotation.
-
-/// World-mask annotation: the set of possible worlds containing the row.
-///
-/// `Zero` (no world) and `Full` (every world) are width-free canonical
-/// constants, so the ubiquitous null-free rows cost no blocks at all;
-/// `Bits` carries an [`Rc`]-shared block buffer. All block operations are
-/// branch-free slice zips over `u64` words — 64 worlds per operation.
-#[derive(Clone)]
-pub enum MaskAnn {
-    /// The empty set of worlds (the annotation zero).
-    Zero,
-    /// Every world (the annotation one; rows free of database nulls).
-    Full,
-    /// An explicit bitset over the world indices.
-    Bits(Rc<MaskBuf>),
-}
-
-impl MaskAnn {
-    fn from_buf(buf: MaskBuf) -> MaskAnn {
-        MaskAnn::Bits(Rc::new(buf))
-    }
-
-    /// A stable fingerprint of the mask *representation* (used by the
-    /// explain-time profiler to count distinct masks; `Zero`/`Full` hash as
-    /// themselves, never equal to an explicit bitset).
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        match self {
-            MaskAnn::Zero => 0u8.hash(&mut h),
-            MaskAnn::Full => 1u8.hash(&mut h),
-            MaskAnn::Bits(b) => {
-                2u8.hash(&mut h);
-                b.words.hash(&mut h);
+    fn columnar_world_sets(rel: &ColumnarRel, worlds: usize) -> WorldSets {
+        let mut out = WorldSets::new();
+        for (t, rm) in rel.rows() {
+            let set: Vec<usize> = match rel.mask(*rm) {
+                MaskRef::Full => (0..worlds).collect(),
+                MaskRef::Words(w) => (0..worlds).filter(|&i| bit(w, i)).collect(),
+            };
+            if !set.is_empty() {
+                out.insert(t.clone(), set);
             }
-        }
-        h.finish()
-    }
-}
-
-impl std::fmt::Debug for MaskAnn {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MaskAnn::Zero => write!(f, "MaskAnn::Zero"),
-            MaskAnn::Full => write!(f, "MaskAnn::Full"),
-            MaskAnn::Bits(b) => write!(f, "MaskAnn::{b:?}"),
-        }
-    }
-}
-
-impl Annotation for MaskAnn {
-    const MERGE_DUPLICATES: bool = true;
-    const SYMBOLIC_NULLS: bool = false;
-    const SUPPORTS_EXTENDED: bool = true;
-
-    fn one() -> Self {
-        // Base rows free of database nulls (and literal rows, whose nulls
-        // valuations never touch) are present in every world.
-        MaskAnn::Full
-    }
-
-    fn is_zero(&self) -> bool {
-        match self {
-            MaskAnn::Zero => true,
-            MaskAnn::Full => false,
-            MaskAnn::Bits(b) => b.words.iter().all(|w| *w == 0),
-        }
-    }
-
-    /// Union of world sets (∪, duplicate-collapsing π).
-    fn plus(&mut self, other: Self) {
-        if matches!(self, MaskAnn::Full) || matches!(other, MaskAnn::Zero) {
-            return;
-        }
-        if matches!(self, MaskAnn::Zero) {
-            *self = other;
-            return;
-        }
-        if matches!(other, MaskAnn::Full) {
-            *self = MaskAnn::Full;
-            return;
-        }
-        let (MaskAnn::Bits(a), MaskAnn::Bits(b)) = (self, &other) else {
-            unreachable!("constant variants handled above")
-        };
-        if let Some(buf) = Rc::get_mut(a) {
-            // Uniquely owned: OR in place, no allocation.
-            for (x, y) in buf.words.iter_mut().zip(&b.words) {
-                *x |= *y;
-            }
-        } else {
-            let mut buf = MaskBuf::zeroed(a.bits);
-            for ((d, x), y) in buf.words.iter_mut().zip(&a.words).zip(&b.words) {
-                *d = *x | *y;
-            }
-            *a = Rc::new(buf);
-        }
-    }
-
-    /// Intersection of world sets (join, ×, ∩).
-    fn times(&self, other: &Self) -> Self {
-        match (self, other) {
-            (MaskAnn::Zero, _) | (_, MaskAnn::Zero) => MaskAnn::Zero,
-            (MaskAnn::Full, x) | (x, MaskAnn::Full) => x.clone(),
-            (MaskAnn::Bits(a), MaskAnn::Bits(b)) => {
-                let mut buf = MaskBuf::zeroed(a.bits);
-                for ((d, x), y) in buf.words.iter_mut().zip(&a.words).zip(&b.words) {
-                    *d = *x & *y;
-                }
-                MaskAnn::from_buf(buf)
-            }
-        }
-    }
-
-    /// Set difference of world sets (−): `self AND NOT other`.
-    fn monus(&self, other: &Self) -> Self {
-        match (self, other) {
-            (MaskAnn::Zero, _) | (_, MaskAnn::Full) => MaskAnn::Zero,
-            (x, MaskAnn::Zero) => x.clone(),
-            (MaskAnn::Full, MaskAnn::Bits(b)) => {
-                let mut buf = MaskBuf::zeroed(b.bits);
-                for (d, y) in buf.words.iter_mut().zip(&b.words) {
-                    *d = !*y;
-                }
-                if let Some(last) = buf.words.last_mut() {
-                    *last &= tail_mask(b.bits);
-                }
-                MaskAnn::from_buf(buf)
-            }
-            (MaskAnn::Bits(a), MaskAnn::Bits(b)) => {
-                let mut buf = MaskBuf::zeroed(a.bits);
-                for ((d, x), y) in buf.words.iter_mut().zip(&a.words).zip(&b.words) {
-                    *d = *x & !*y;
-                }
-                MaskAnn::from_buf(buf)
-            }
-        }
-    }
-
-    /// Rows reaching a selection are ground (or carry opaque literal
-    /// nulls), so the condition decides **uniformly across worlds**: the
-    /// mask survives whole or is zeroed — exactly the per-world behaviour,
-    /// including the syntactic `null(·)`/`const(·)` predicates.
-    fn select(&self, cond: &Condition, tuple: &Tuple) -> Self {
-        if cond.eval(tuple) {
-            self.clone()
-        } else {
-            MaskAnn::Zero
-        }
-    }
-
-    /// Division on world masks. Per world `w`, `t̄` is in the quotient iff
-    /// `t̄` prefixes some row of `L(w)` and for every `s̄ ∈ R(w)` the
-    /// concatenation `t̄·s̄` is in `L(w)`; over masks this is
-    ///
-    /// ```text
-    /// mask(t̄) = (⋁_{t̄ prefixes l̄} mask_L(l̄))  ∧  ¬ ⋁_{s̄} (mask_R(s̄) ∧ ¬mask_L(t̄·s̄))
-    /// ```
-    ///
-    /// — the "AND-NOT via the complement" reading of `∀` as `¬∃¬`.
-    fn divide(left: AnnRel<Self>, right: &AnnRel<Self>) -> Result<AnnRel<Self>> {
-        let n = left.arity() - right.arity();
-        let head: Vec<usize> = (0..n).collect();
-        // Full-tuple lookup of the dividend (rows are duplicate-merged, but
-        // merge defensively — ORing is the correct reading regardless).
-        let mut dividend: HashMap<&Tuple, MaskAnn> = HashMap::with_capacity(left.rows().len());
-        for (t, a) in left.rows() {
-            match dividend.entry(t) {
-                Entry::Occupied(mut e) => e.get_mut().plus(a.clone()),
-                Entry::Vacant(e) => {
-                    e.insert(a.clone());
-                }
-            }
-        }
-        // Candidate prefixes with the OR of their witnesses' masks.
-        let mut candidates: HashMap<Tuple, MaskAnn> = HashMap::new();
-        for (t, a) in left.rows() {
-            match candidates.entry(t.project(&head)) {
-                Entry::Occupied(mut e) => e.get_mut().plus(a.clone()),
-                Entry::Vacant(e) => {
-                    e.insert(a.clone());
-                }
-            }
-        }
-        let mut out = AnnRel::new(n);
-        for (cand, present) in candidates {
-            let mut bad = MaskAnn::Zero;
-            for (b, rb) in right.rows() {
-                // Worlds where b̄ is in the divisor but cand·b̄ missing.
-                let miss = match dividend.get(&cand.concat(b)) {
-                    Some(la) => rb.monus(la),
-                    None => rb.clone(),
-                };
-                bad.plus(miss);
-            }
-            out.push(cand, present.monus(&bad));
-        }
-        Ok(out)
-    }
-
-    /// The unification anti-semijoin on world masks: a left row survives in
-    /// the worlds where **no** unifiable right row is present. Row tuples
-    /// are ground up to opaque literal nulls, and valuations never touch
-    /// those — so syntactic unifiability per (ground) row pair is exactly
-    /// the per-world unifiability, and the world quantification is again an
-    /// AND-NOT over the OR of the matching rows' masks.
-    fn anti_unify(left: AnnRel<Self>, right: &AnnRel<Self>) -> Result<AnnRel<Self>> {
-        // Partition the right side: complete rows match null-free left rows
-        // by hash; everything else pairs through `unifiable`.
-        let mut complete: HashMap<&Tuple, MaskAnn> = HashMap::new();
-        let mut with_nulls: Vec<(&Tuple, &MaskAnn)> = Vec::new();
-        for (t, a) in right.rows() {
-            if t.has_null() {
-                with_nulls.push((t, a));
-            } else {
-                match complete.entry(t) {
-                    Entry::Occupied(mut e) => e.get_mut().plus(a.clone()),
-                    Entry::Vacant(e) => {
-                        e.insert(a.clone());
-                    }
-                }
-            }
-        }
-        let mut out = AnnRel::new(left.arity());
-        for (t, a) in left.into_rows() {
-            let mut bad = MaskAnn::Zero;
-            if t.has_null() {
-                for (r, ra) in &complete {
-                    if certa_data::unifiable(&t, r) {
-                        bad.plus(ra.clone());
-                    }
-                }
-            } else if let Some(ra) = complete.get(&t) {
-                bad.plus(ra.clone());
-            }
-            for (r, ra) in &with_nulls {
-                if certa_data::unifiable(&t, r) {
-                    bad.plus((*ra).clone());
-                }
-            }
-            let ann = a.monus(&bad);
-            out.push(t, ann);
-        }
-        Ok(out)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The context: null order, pool, stripe masks.
-
-/// Everything the mask domain needs about the valuation space of one
-/// database: the nulls in their canonical (ascending) order — the exact
-/// order [`certa_data::valuation::valuation_at`] decodes, so world indices
-/// agree with the enumeration engines — the constant pool, and the
-/// precomputed **stripe masks** `S(p, c) = { idx | digit_p(idx) = c }`
-/// from which every substitution-class cylinder is an AND of stripes.
-pub struct MaskContext {
-    nulls: Vec<NullId>,
-    null_index: HashMap<NullId, usize>,
-    pool: Vec<Const>,
-    worlds: usize,
-    words: usize,
-    /// `stripes[p][c]`: worlds whose valuation maps null `p` to pool
-    /// constant `c`.
-    stripes: Vec<Vec<MaskAnn>>,
-}
-
-impl MaskContext {
-    /// Build a context for the given nulls (pass them in ascending order —
-    /// e.g. straight from [`Database::nulls`] — to match the engines'
-    /// world indexing) over a constant pool.
-    ///
-    /// Returns `None` when the world count `|pool|^|nulls|` overflows
-    /// `usize` (callers bound-check far below that anyway).
-    pub fn new(
-        nulls: impl IntoIterator<Item = NullId>,
-        pool: impl IntoIterator<Item = Const>,
-    ) -> Option<MaskContext> {
-        let nulls: Vec<NullId> = nulls.into_iter().collect();
-        let pool: Vec<Const> = pool.into_iter().collect();
-        let worlds = count_valuations(nulls.len(), pool.len());
-        if worlds == usize::MAX {
-            // `count_valuations` saturates on overflow; a genuine count of
-            // usize::MAX bits would be unbuildable regardless.
-            return None;
-        }
-        let words = words_for(worlds);
-        let k = pool.len();
-        let mut stripes: Vec<Vec<MaskAnn>> = Vec::with_capacity(nulls.len());
-        let mut step = 1usize; // k^p
-        for _ in 0..nulls.len() {
-            let mut row = Vec::with_capacity(k);
-            for c in 0..k {
-                // digit_p(idx) = (idx / k^p) mod k == c holds on the
-                // periodic runs [c·step + j·step·k, (c+1)·step + j·step·k).
-                let mut buf = MaskBuf::zeroed(worlds);
-                let mut lo = c * step;
-                while lo < worlds {
-                    let hi = (lo + step).min(worlds);
-                    set_range(&mut buf.words, lo, hi);
-                    lo += step * k;
-                }
-                row.push(MaskAnn::from_buf(buf));
-            }
-            stripes.push(row);
-            step = step.saturating_mul(k);
-        }
-        let null_index = nulls.iter().enumerate().map(|(i, n)| (*n, i)).collect();
-        Some(MaskContext {
-            nulls,
-            null_index,
-            pool,
-            worlds,
-            words,
-            stripes,
-        })
-    }
-
-    /// Number of possible worlds (one bit each).
-    pub fn worlds(&self) -> usize {
-        self.worlds
-    }
-
-    /// Blocks per mask (`⌈worlds/64⌉`).
-    pub fn words(&self) -> usize {
-        self.words
-    }
-
-    /// The constant pool.
-    pub fn pool(&self) -> &[Const] {
-        &self.pool
-    }
-
-    /// The nulls, in world-index digit order.
-    pub fn nulls(&self) -> &[NullId] {
-        &self.nulls
-    }
-
-    /// Number of worlds in a mask.
-    pub fn count(&self, m: &MaskAnn) -> usize {
-        match m {
-            MaskAnn::Zero => 0,
-            MaskAnn::Full => self.worlds,
-            MaskAnn::Bits(b) => popcount(&b.words),
-        }
-    }
-
-    /// Number of worlds in the intersection of two masks.
-    pub fn count_and(&self, a: &MaskAnn, b: &MaskAnn) -> usize {
-        match (a, b) {
-            (MaskAnn::Zero, _) | (_, MaskAnn::Zero) => 0,
-            (MaskAnn::Full, x) | (x, MaskAnn::Full) => self.count(x),
-            (MaskAnn::Bits(a), MaskAnn::Bits(b)) => a
-                .words
-                .iter()
-                .zip(&b.words)
-                .map(|(x, y)| (x & y).count_ones() as usize)
-                .sum(),
-        }
-    }
-
-    /// `true` iff the mask holds **every** world (certainty).
-    pub fn is_full(&self, m: &MaskAnn) -> bool {
-        self.count(m) == self.worlds
-    }
-
-    /// `true` iff `small ⊆ big` as world sets.
-    pub fn covers(&self, big: &MaskAnn, small: &MaskAnn) -> bool {
-        self.count_and(big, small) == self.count(small)
-    }
-
-    /// Expand a tuple's null-substitution classes: every assignment of the
-    /// tuple's *database* nulls to pool constants yields one
-    /// `(ground tuple, cylinder mask)` pair, the cylinder being the AND of
-    /// the stripes the assignment pins. Nulls outside the context (literal
-    /// nulls, which valuations never touch) stay in place as opaque
-    /// values. A null-free tuple is one class covering every world.
-    pub fn expand(&self, t: &Tuple) -> Vec<(Tuple, MaskAnn)> {
-        // Distinct database nulls of the tuple, as context ordinals.
-        let mut present: Vec<usize> = Vec::new();
-        for v in t.iter() {
-            if let Value::Null(n) = v {
-                if let Some(&p) = self.null_index.get(n) {
-                    if !present.contains(&p) {
-                        present.push(p);
-                    }
-                }
-            }
-        }
-        if present.is_empty() {
-            return vec![(t.clone(), MaskAnn::Full)];
-        }
-        let k = self.pool.len();
-        if k == 0 {
-            // No valuations at all: the tuple exists in no world.
-            return Vec::new();
-        }
-        let total = k.pow(present.len() as u32);
-        let mut choice = vec![0usize; present.len()];
-        let mut out = Vec::with_capacity(total);
-        for combo in 0..total {
-            let mut c = combo;
-            let mut mask = MaskAnn::Full;
-            for (j, &p) in present.iter().enumerate() {
-                choice[j] = c % k;
-                c /= k;
-                mask = mask.times(&self.stripes[p][choice[j]]);
-            }
-            let ground = t.map(|v| match v {
-                Value::Null(n) => match self.null_index.get(n) {
-                    Some(&p) => {
-                        let j = present
-                            .iter()
-                            .position(|&q| q == p)
-                            .expect("collected above");
-                        Value::Const(self.pool[choice[j]].clone())
-                    }
-                    None => v.clone(),
-                },
-                Value::Const(_) => v.clone(),
-            });
-            out.push((ground, mask));
         }
         out
     }
 
-    /// The stripe mask `{ idx | digit_p(idx) = c }` for a null ordinal and
-    /// a pool index.
-    fn stripe(&self, null_ordinal: usize, pool_index: usize) -> &MaskAnn {
-        &self.stripes[null_ordinal][pool_index]
-    }
-}
-
-/// Set bits `[lo, hi)` in a block buffer.
-pub(crate) fn set_range(words: &mut [u64], lo: usize, hi: usize) {
-    if lo >= hi {
-        return;
-    }
-    let (lw, hw) = (lo / 64, (hi - 1) / 64);
-    let lo_mask = !0u64 << (lo % 64);
-    let hi_mask = !0u64 >> (63 - (hi - 1) % 64);
-    if lw == hw {
-        words[lw] |= lo_mask & hi_mask;
-    } else {
-        words[lw] |= lo_mask;
-        for w in &mut words[lw + 1..hw] {
-            *w = !0;
-        }
-        words[hw] |= hi_mask;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The source.
-
-/// Mask-semantics source: the **base** (incomplete) database scanned once,
-/// with null-substitution classes expanded into `(ground tuple, mask)`
-/// rows. Null-free relations stream through with [`MaskAnn::Full`]
-/// annotations; incomplete relations merge classes that collapse onto the
-/// same ground tuple (ORing their world sets), preserving the engine's
-/// one-row-per-tuple invariant for merged domains.
-pub struct MaskSource<'a> {
-    db: &'a Database,
-    ctx: &'a MaskContext,
-}
-
-impl<'a> MaskSource<'a> {
-    /// View `db`'s entire possible-world space through `ctx`.
-    pub fn new(db: &'a Database, ctx: &'a MaskContext) -> Self {
-        MaskSource { db, ctx }
-    }
-
-    /// The context the source expands through.
-    pub fn context(&self) -> &MaskContext {
-        self.ctx
-    }
-}
-
-impl Source<MaskAnn> for MaskSource<'_> {
-    fn scan(&self, name: &str, filter: Option<&Condition>) -> Result<AnnRel<MaskAnn>> {
-        let rel = self
-            .db
-            .relation(name)
-            .map_err(|_| AlgebraError::UnknownRelation(name.to_string()))?;
-        let mut out = AnnRel::new(rel.arity());
-        if rel.is_complete() {
-            for t in rel.iter() {
-                if filter.is_none_or(|c| c.eval(t)) {
-                    out.push(t.clone(), MaskAnn::Full);
-                }
-            }
-            return Ok(out);
-        }
-        // Distinct base tuples can collapse onto one ground tuple (e.g.
-        // `R(⊥₀)` and `R(1)` under `⊥₀ ↦ 1`): merge classes by ORing their
-        // world sets.
-        let mut merged: HashMap<Tuple, MaskAnn> = HashMap::new();
-        let mut add = |tuple: Tuple, mask: MaskAnn| match merged.entry(tuple) {
-            Entry::Occupied(mut e) => e.get_mut().plus(mask),
-            Entry::Vacant(e) => {
-                e.insert(mask);
-            }
-        };
-        for t in rel.iter() {
-            if !t.has_null() {
-                if filter.is_none_or(|c| c.eval(t)) {
-                    add(t.clone(), MaskAnn::Full);
-                }
-                continue;
-            }
-            for (ground, mask) in self.ctx.expand(t) {
-                if filter.is_none_or(|c| c.eval(&ground)) {
-                    add(ground, mask);
-                }
-            }
-        }
-        for (t, m) in merged {
-            out.push(t, m);
-        }
-        Ok(out)
-    }
-
-    fn active_domain(&self) -> Vec<Value> {
-        self.db.active_domain().into_iter().collect()
-    }
-
-    /// The per-world active-domain power, as masks: a constant of the base
-    /// database is in `dom(v(D))` for every `v`; a null contributes each
-    /// pool constant `c` on the stripe of worlds mapping it to `c`. The
-    /// `k`-power then ANDs member masks across positions.
-    fn dom_power(&self, k: usize) -> Result<AnnRel<MaskAnn>> {
-        let mut members: HashMap<Value, MaskAnn> = HashMap::new();
-        let mut add = |value: Value, mask: MaskAnn| match members.entry(value) {
-            Entry::Occupied(mut e) => e.get_mut().plus(mask),
-            Entry::Vacant(e) => {
-                e.insert(mask);
-            }
-        };
-        for v in self.db.active_domain() {
-            match &v {
-                Value::Const(_) => add(v.clone(), MaskAnn::Full),
-                Value::Null(n) => match self.ctx.null_index.get(n) {
-                    Some(&p) => {
-                        for (ci, c) in self.ctx.pool.iter().enumerate() {
-                            add(Value::Const(c.clone()), self.ctx.stripe(p, ci).clone());
-                        }
-                    }
-                    // A null outside the context is opaque: present as
-                    // itself in every world (defensive; database nulls are
-                    // always indexed).
-                    None => add(v.clone(), MaskAnn::Full),
-                },
-            }
-        }
-        let members: Vec<(Value, MaskAnn)> = members.into_iter().collect();
-        let mut rows: Vec<(Vec<Value>, MaskAnn)> = vec![(Vec::new(), MaskAnn::Full)];
-        for _ in 0..k {
-            let mut next = Vec::with_capacity(rows.len() * members.len().max(1));
-            for (prefix, mask) in &rows {
-                for (v, vm) in &members {
-                    let ann = mask.times(vm);
-                    if ann.is_zero() {
-                        continue;
-                    }
-                    let mut values = prefix.clone();
-                    values.push(v.clone());
-                    next.push((values, ann));
-                }
-            }
-            rows = next;
-        }
-        let mut out = AnnRel::new(k);
-        for (values, mask) in rows {
-            out.push(Tuple::new(values), mask);
-        }
-        Ok(out)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::expr::RaExpr;
-    use crate::physical::{execute, identity_hook, plan};
-    use certa_data::{database_from_literal, tup};
-    use std::collections::BTreeSet;
-
-    fn ctx_for(db: &Database, pool: &[i64]) -> MaskContext {
-        MaskContext::new(db.nulls(), pool.iter().map(|c| Const::Int(*c))).unwrap()
-    }
-
-    /// Whether world `idx` is in the mask.
-    fn bit(m: &MaskAnn, idx: usize) -> bool {
-        match m {
-            MaskAnn::Zero => false,
-            MaskAnn::Full => true,
-            MaskAnn::Bits(b) => b.words()[idx / 64] >> (idx % 64) & 1 == 1,
-        }
-    }
-
-    /// Evaluate a query under the mask domain and per-world enumeration and
-    /// assert the per-world supports agree bit for bit.
-    fn assert_worlds_agree(query: &RaExpr, db: &Database, pool: &[i64]) {
-        let ctx = ctx_for(db, pool);
-        let physical = plan(query, db.schema()).unwrap();
-        let source = MaskSource::new(db, &ctx);
-        let out: AnnRel<MaskAnn> = execute(&physical, &source, &mut identity_hook).unwrap();
-
-        let nulls: Vec<NullId> = db.nulls().into_iter().collect();
-        let pool: Vec<Const> = pool.iter().map(|c| Const::Int(*c)).collect();
+    /// The world sets per-world enumeration produces: build every world
+    /// `v(D)` in the engines' index order and evaluate the query on it with
+    /// the seed reference evaluator.
+    fn enumerated_world_sets(query: &RaExpr, db: &Database, ctx: &ColumnarContext) -> WorldSets {
+        let mut out = WorldSets::new();
         for idx in 0..ctx.worlds() {
-            let v = certa_data::valuation::valuation_at(&nulls, &pool, idx);
-            let world = v.apply_database(db);
-            let expected = crate::reference::eval_set_reference(query, &world).unwrap();
-            // Support of the mask result in world idx.
-            let mut got: BTreeSet<Tuple> = BTreeSet::new();
-            for (t, m) in out.rows() {
-                if bit(m, idx) {
-                    got.insert(t.clone());
-                }
+            let world = valuation_at(ctx.nulls(), ctx.pool(), idx).apply_database(db);
+            let answers = crate::reference::eval_set_reference(query, &world).unwrap();
+            for t in answers.iter() {
+                out.entry(t.clone()).or_default().push(idx);
             }
-            let expected: BTreeSet<Tuple> = expected.iter().cloned().collect();
-            assert_eq!(got, expected, "world {idx} ({v}) of {query}");
+        }
+        out
+    }
+
+    /// Execute `query` through the columnar executor at 1, 2 and 8 workers
+    /// and assert that every output row's world set is exactly the worlds
+    /// whose enumerated evaluation contains it, and that the output is
+    /// bit-identical across worker counts, row order included.
+    pub(super) fn assert_matches_world_enumeration(query: &RaExpr, db: &Database, pool: &[i64]) {
+        let ctx = ColumnarContext::new(db.nulls(), pool.iter().map(|c| Const::Int(*c))).unwrap();
+        let physical = plan(query, db.schema()).unwrap();
+        let expected = enumerated_world_sets(query, db, &ctx);
+        let mut at_one = None;
+        for workers in [1usize, 2, 8] {
+            let exec = ColumnarExec::new(db, &ctx, MorselPool::new(workers));
+            let rel = exec.execute(&physical).unwrap();
+            let got = columnar_world_sets(&rel, ctx.worlds());
+            assert_eq!(got, expected, "{query} at {workers} workers vs enumeration");
+            let shape: Vec<(Tuple, RowMask)> = rel.rows().to_vec();
+            match &at_one {
+                None => at_one = Some(shape),
+                Some(base) => assert_eq!(&shape, base, "{query}: row order at {workers} workers"),
+            }
         }
     }
 
+    /// Seven nulls: a null shared by `R` and `S`, a null repeated inside
+    /// one tuple, and a tuple of two nulls. A 2-constant pool gives 128
+    /// worlds (two full words), a 3-constant pool 2187 (35 words, the last
+    /// one partial).
     fn db() -> Database {
         database_from_literal([
             (
@@ -830,49 +136,75 @@ mod tests {
                     tup![Value::null(1), 2],
                     tup![1, 2],
                     tup![3, 1],
+                    tup![Value::null(2), Value::null(2)],
+                    tup![Value::null(3), Value::null(4)],
                 ],
             ),
-            ("S", vec!["c"], vec![tup![2], tup![Value::null(0)]]),
+            (
+                "S",
+                vec!["c"],
+                vec![
+                    tup![2],
+                    tup![Value::null(0)],
+                    tup![Value::null(5)],
+                    tup![Value::null(6)],
+                ],
+            ),
         ])
     }
 
     #[test]
     fn stripes_partition_the_world_space() {
-        let ctx = ctx_for(&db(), &[1, 2, 3]);
-        assert_eq!(ctx.worlds(), 9);
-        for p in 0..2 {
-            let mut total = 0;
+        let ctx = ColumnarContext::new(0..5, (1..=3).map(Const::Int)).unwrap();
+        assert_eq!((ctx.worlds(), ctx.width()), (243, 4));
+        for p in 0..5 {
+            let mut seen = vec![0u64; ctx.width()];
             for c in 0..3 {
-                total += ctx.count(ctx.stripe(p, c));
+                let stripe = ctx.stripe(p, c);
+                assert_eq!(kernel::popcount(stripe), 81, "stripe ({p}, {c})");
+                assert_eq!(
+                    kernel::popcount_and(&seen, stripe),
+                    0,
+                    "stripes of digit {p} overlap"
+                );
+                kernel::or_assign(&mut seen, stripe);
             }
-            assert_eq!(total, 9, "stripes of digit {p} must partition");
+            // No bit at or above the world count, so the union is exactly
+            // the 243 worlds.
+            assert_eq!(seen[3] >> (243 - 3 * 64), 0, "tail bits of digit {p}");
+            assert_eq!(
+                kernel::popcount(&seen),
+                243,
+                "stripes of digit {p} must cover"
+            );
         }
-        // Digit 0 varies fastest: stripe(0, c) is the congruence class
-        // idx ≡ c (mod 3).
+        // Digit 0 varies fastest: stripe (0, c) is the congruence class
+        // idx ≡ c (mod 3), across word boundaries.
         for c in 0..3 {
-            let m = ctx.stripe(0, c);
-            let MaskAnn::Bits(b) = m else { panic!() };
-            for idx in 0..9 {
-                let bit = b.words()[0] >> idx & 1 == 1;
-                assert_eq!(bit, idx % 3 == c, "idx {idx} stripe {c}");
+            for idx in 0..243 {
+                assert_eq!(
+                    bit(ctx.stripe(0, c), idx),
+                    idx % 3 == c,
+                    "idx {idx} stripe {c}"
+                );
             }
         }
     }
 
     #[test]
     fn expand_matches_valuation_enumeration() {
-        let d = db();
-        let ctx = ctx_for(&d, &[1, 2]);
-        let t = tup![Value::null(0), Value::null(1)];
-        let classes = ctx.expand(&t);
+        let ctx = ColumnarContext::new(0..7, (1..=2).map(Const::Int)).unwrap();
+        // A repeated null and a constant: two nulls, so four classes.
+        let t = tup![Value::null(0), 7, Value::null(6), Value::null(0)];
+        let mut classes: Vec<(Tuple, Vec<u64>)> = Vec::new();
+        ctx.expand_for_each(&t, &mut Vec::new(), |g, m| {
+            classes.push((g, m.expect("null tuple has cylinders").to_vec()));
+        });
         assert_eq!(classes.len(), 4);
-        let total: usize = classes.iter().map(|(_, m)| ctx.count(m)).sum();
-        assert_eq!(total, ctx.worlds(), "cylinders partition the worlds");
-        let nulls: Vec<NullId> = d.nulls().into_iter().collect();
-        let pool = [Const::Int(1), Const::Int(2)];
+        // Exactly one class holds each world, and its ground tuple is the
+        // tuple under that world's valuation.
         for idx in 0..ctx.worlds() {
-            let v = certa_data::valuation::valuation_at(&nulls, &pool, idx);
-            let expected = v.apply_tuple(&t);
+            let expected = valuation_at(ctx.nulls(), ctx.pool(), idx).apply_tuple(&t);
             let hits: Vec<&Tuple> = classes
                 .iter()
                 .filter(|(_, m)| bit(m, idx))
@@ -899,7 +231,7 @@ mod tests {
                 .difference(RaExpr::rel("S")),
         ];
         for q in queries {
-            assert_worlds_agree(&q, &d, &[1, 2, 3]);
+            assert_matches_world_enumeration(&q, &d, &[1, 2, 3]);
         }
     }
 
@@ -917,7 +249,7 @@ mod tests {
                 .project(vec![1]),
         ];
         for q in queries {
-            assert_worlds_agree(&q, &d, &[1, 2]);
+            assert_matches_world_enumeration(&q, &d, &[1, 2]);
         }
     }
 
@@ -933,7 +265,7 @@ mod tests {
             RaExpr::rel("R").select(Condition::IsNull(0).or(Condition::eq_const(1, 2))),
         ];
         for q in queries {
-            assert_worlds_agree(&q, &d, &[1, 2, 3]);
+            assert_matches_world_enumeration(&q, &d, &[1, 2, 3]);
         }
     }
 
@@ -941,9 +273,9 @@ mod tests {
     fn mask_handles_null_literals_as_opaque_values() {
         // A literal null is never substituted (valuations range over the
         // *database* nulls only): both per-world evaluation and the mask
-        // domain treat it as an opaque value present everywhere.
+        // executor treat it as an opaque value present everywhere.
         let d = db();
-        let lit = crate::expr::RaExpr::Literal(certa_data::Relation::from_tuples(vec![
+        let lit = RaExpr::Literal(certa_data::Relation::from_tuples(vec![
             tup![Value::null(9)],
             tup![2],
         ]));
@@ -954,74 +286,29 @@ mod tests {
             RaExpr::rel("R").project(vec![1]).intersect(lit),
         ];
         for q in queries {
-            assert_worlds_agree(&q, &d, &[1, 2, 3]);
+            assert_matches_world_enumeration(&q, &d, &[1, 2, 3]);
         }
     }
 
     #[test]
     fn zero_pool_yields_zero_worlds() {
-        let d = db();
-        let ctx = MaskContext::new(d.nulls(), []).unwrap();
+        let ctx = ColumnarContext::new(db().nulls(), []).unwrap();
         assert_eq!(ctx.worlds(), 0);
-        assert_eq!(ctx.words(), 0);
-        let t = tup![Value::null(0)];
-        assert!(ctx.expand(&t).is_empty());
-        // Full and Zero coincide on zero worlds, through the counts.
-        assert!(ctx.is_full(&MaskAnn::Full));
-        assert!(ctx.is_full(&MaskAnn::Zero));
-        assert_eq!(ctx.count(&MaskAnn::Full), 0);
+        assert_eq!(ctx.width(), 0);
+        let mut classes = 0;
+        ctx.expand_for_each(&tup![Value::null(0)], &mut Vec::new(), |_, _| {
+            classes += 1;
+        });
+        assert_eq!(classes, 0, "a null tuple exists in no world");
+        // Full and empty coincide on zero worlds, through the counts.
+        assert!(ctx.is_full(MaskRef::Full));
+        assert!(ctx.is_full(MaskRef::Words(&[])));
+        assert_eq!(ctx.count(MaskRef::Full), 0);
     }
 
     #[test]
     fn overflowing_world_counts_are_rejected() {
         let nulls: Vec<NullId> = (0..70).collect();
-        let pool = (0..3).map(Const::Int);
-        assert!(MaskContext::new(nulls, pool).is_none());
-    }
-
-    #[test]
-    fn arena_recycles_buffers() {
-        let before = ARENA.with(|a| a.borrow().0.len());
-        {
-            let buf = MaskBuf::zeroed(1024);
-            assert_eq!(buf.words().len(), 16);
-        }
-        let after = ARENA.with(|a| a.borrow().0.len());
-        assert!(
-            after > before || after == ARENA_CAP,
-            "dropped buffer must return to the arena"
-        );
-        let reused = arena_take(16);
-        assert_eq!(reused.len(), 16);
-        assert!(reused.iter().all(|w| *w == 0), "recycled blocks are zeroed");
-        arena_put(reused);
-    }
-
-    #[test]
-    fn arena_retained_capacity_is_bounded() {
-        // Fill the arena with one over-budget buffer: it must be released,
-        // not retained, and the retained-words accounting must stay
-        // consistent across take/put cycles.
-        let big = vec![0u64; ARENA_CAP_WORDS + 1];
-        arena_put(big);
-        let (len, retained) = ARENA.with(|a| {
-            let (pool, retained) = &*a.borrow();
-            (pool.len(), *retained)
-        });
-        assert!(retained <= ARENA_CAP_WORDS, "retained words over budget");
-        let sum: usize = ARENA.with(|a| a.borrow().0.iter().map(Vec::capacity).sum());
-        assert_eq!(sum, retained, "accounting must match pool contents");
-        assert!(len <= ARENA_CAP);
-    }
-
-    #[test]
-    fn set_range_handles_word_boundaries() {
-        let mut words = vec![0u64; 3];
-        set_range(&mut words, 60, 70);
-        assert_eq!(popcount(&words), 10);
-        assert_eq!(words[0], !0u64 << 60);
-        assert_eq!(words[1], (1u64 << 6) - 1);
-        set_range(&mut words, 0, 192);
-        assert_eq!(popcount(&words), 192);
+        assert!(ColumnarContext::new(nulls, (0..3).map(Const::Int)).is_none());
     }
 }

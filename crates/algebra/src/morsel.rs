@@ -15,9 +15,8 @@
 //! The pool is std-only (`std::thread::scope` + one `AtomicUsize`), worker
 //! counts are clamped to [`std::thread::available_parallelism`] (a request
 //! for 16 workers on a 1-CPU host runs 1 worker and reports so), and every
-//! worker drains the thread-local mask-buffer arena on exit
-//! ([`crate::mask::arena_drain`]) so recycled blocks never outlive the
-//! scope that allocated them.
+//! morsel runs under `catch_unwind`, so a panicking worker comes back as a
+//! typed [`GovernorError::WorkerPanicked`] instead of unwinding the scope.
 
 use crate::governor;
 use certa_data::GovernorError;
@@ -181,8 +180,7 @@ impl MorselPool {
                                 break;
                             }
                             // The faultpoint runs under catch_unwind so an
-                            // injected panic cannot unwind past the arena
-                            // drain below.
+                            // injected panic comes back as a typed error.
                             match catch_unwind(AssertUnwindSafe(|| {
                                 let msp = certa_obs::span("morsel");
                                 msp.add("m", m as u64);
@@ -202,9 +200,6 @@ impl MorselPool {
                                 }
                             }
                         }
-                        // Drain-on-scope-exit: blocks recycled on this
-                        // worker must not leak past the pool.
-                        crate::mask::arena_drain();
                         certa_obs::metrics()
                             .observe(certa_obs::HistogramId::MorselsPerWorker, local.len() as u64);
                         local
@@ -322,21 +317,5 @@ mod tests {
             });
             assert_eq!(result, Err(GovernorError::Cancelled), "{requested} workers");
         }
-    }
-
-    #[test]
-    fn workers_drain_their_arenas_on_exit() {
-        // Allocate (and recycle) mask buffers on every morsel; the worker's
-        // thread-local arena must be empty once the scope joins. The main
-        // thread's own arena is drained explicitly to make the check exact
-        // in the sequential fallback case too.
-        let pool = MorselPool::new(8);
-        pool.run(8 * MORSEL_ROWS, |_, range| {
-            let ctx =
-                crate::mask::MaskContext::new([0, 1], (0..4).map(certa_data::Const::Int)).unwrap();
-            ctx.count(&crate::mask::MaskAnn::Full) + range.len()
-        });
-        crate::mask::arena_drain();
-        assert_eq!(crate::mask::arena_occupancy(), (0, 0));
     }
 }

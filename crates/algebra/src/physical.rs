@@ -61,9 +61,14 @@ use std::fmt;
 /// independent information (c-tables) opt out of duplicate merging via
 /// [`MERGE_DUPLICATES`].
 ///
+/// The engine evaluates the extended operators (÷, `Domᵏ`, `⋉⇑`) on tuple
+/// support alone, the same way in every domain; a domain opts out of them
+/// with [`SUPPORTS_EXTENDED`].
+///
 /// [`is_zero`]: Annotation::is_zero
 /// [`one`]: Annotation::one
 /// [`MERGE_DUPLICATES`]: Annotation::MERGE_DUPLICATES
+/// [`SUPPORTS_EXTENDED`]: Annotation::SUPPORTS_EXTENDED
 pub trait Annotation: Clone + Sized {
     /// Whether equal tuples should be merged with [`Annotation::plus`]
     /// (sets, bags) or kept as separate rows (c-tables, where two rows with
@@ -78,7 +83,9 @@ pub trait Annotation: Clone + Sized {
     const SYMBOLIC_NULLS: bool;
 
     /// Whether the extended operators (÷, `Domᵏ`, `⋉⇑`), which are defined
-    /// on tuple *support* only, make sense in this domain.
+    /// on tuple *support* only, make sense in this domain. ÷ and `Domᵏ`
+    /// annotate their rows with [`Annotation::one`]; `⋉⇑` keeps the left
+    /// annotations. Domains without support reject all three.
     const SUPPORTS_EXTENDED: bool;
 
     /// The annotation of an unconditionally present base tuple.
@@ -163,57 +170,6 @@ pub trait Annotation: Clone + Sized {
             }
         }
         out
-    }
-
-    /// Division `left ÷ right` (extended operator). The default is
-    /// support-based — a candidate prefix survives when every divisor
-    /// tuple pairs with it in the dividend — and iterates the rows **by
-    /// reference**: no annotation-dropping copy of either input is
-    /// materialised (the old path cloned every tuple of both sides into
-    /// plain relations first). Domains whose rows are present only in
-    /// *some* worlds (the mask domain) override this with a per-world
-    /// reading.
-    ///
-    /// # Errors
-    ///
-    /// Rejects domains without [`SUPPORTS_EXTENDED`].
-    ///
-    /// [`SUPPORTS_EXTENDED`]: Annotation::SUPPORTS_EXTENDED
-    fn divide(left: AnnRel<Self>, right: &AnnRel<Self>) -> Result<AnnRel<Self>> {
-        require_extended::<Self>("division")?;
-        let n = left.arity() - right.arity();
-        let head: Vec<usize> = (0..n).collect();
-        let dividend: HashSet<&Tuple> = left.rows().iter().map(|(t, _)| t).collect();
-        let mut out = AnnRel::new(n);
-        let mut seen: HashSet<Tuple> = HashSet::with_capacity(left.rows().len());
-        for (t, _) in left.rows() {
-            let cand = t.project(&head);
-            if !seen.insert(cand.clone()) {
-                continue;
-            }
-            if right
-                .rows()
-                .iter()
-                .all(|(b, _)| dividend.contains(&cand.concat(b)))
-            {
-                out.push(cand, Self::one());
-            }
-        }
-        Ok(out)
-    }
-
-    /// The unification anti-semijoin `left ⋉⇑ right` (extended operator).
-    /// The default is support-based, keeping left annotations; the mask
-    /// domain overrides it with a per-world reading.
-    ///
-    /// # Errors
-    ///
-    /// Rejects domains without [`SUPPORTS_EXTENDED`].
-    ///
-    /// [`SUPPORTS_EXTENDED`]: Annotation::SUPPORTS_EXTENDED
-    fn anti_unify(left: AnnRel<Self>, right: &AnnRel<Self>) -> Result<AnnRel<Self>> {
-        require_extended::<Self>("anti-semijoin (⋉⇑)")?;
-        Ok(anti_unify_support(left, right))
     }
 }
 
@@ -403,24 +359,6 @@ pub trait Source<A: Annotation> {
 
     /// The active domain (for the `Domᵏ` extended operator).
     fn active_domain(&self) -> Vec<Value>;
-
-    /// The `Domᵏ` extended operator: all `k`-tuples over the active
-    /// domain, annotated. The default annotates everything with
-    /// [`Annotation::one`]; sources whose active domain varies per world
-    /// (the mask source) override it.
-    ///
-    /// # Errors
-    ///
-    /// Rejects domains without [`Annotation::SUPPORTS_EXTENDED`].
-    fn dom_power(&self, k: usize) -> Result<AnnRel<A>> {
-        require_extended::<A>("Dom^k")?;
-        let domain = self.active_domain();
-        let mut out = AnnRel::new(k);
-        for t in crate::eval::dom_power_over(&domain, k) {
-            out.push(t, A::one());
-        }
-        Ok(out)
-    }
 }
 
 /// Set-semantics source: a [`Database`] scanned with [`SetAnn`] presence.
@@ -1088,13 +1026,13 @@ where
         PhysOp::Divide(le, re) => {
             let l = execute_with_cache(le, source, hook, cache)?;
             let r = execute_with_cache(re, source, hook, cache)?;
-            (OpKind::Divide, A::divide(l, &r)?)
+            (OpKind::Divide, divide(l, &r)?)
         }
-        PhysOp::DomPower(k) => (OpKind::DomPower, source.dom_power(*k)?),
+        PhysOp::DomPower(k) => (OpKind::DomPower, dom_power(source, *k)?),
         PhysOp::AntiSemiJoinUnify(le, re) => {
             let l = execute_with_cache(le, source, hook, cache)?;
             let r = execute_with_cache(re, source, hook, cache)?;
-            (OpKind::AntiSemiJoinUnify, A::anti_unify(l, &r)?)
+            (OpKind::AntiSemiJoinUnify, anti_unify(l, &r)?)
         }
     };
     crate::governor::consume_rows(rel.len())?;
@@ -1201,11 +1139,57 @@ fn hash_join<A: Annotation>(
     out
 }
 
-/// Unification anti-semijoin on supports, keeping left annotations — the
-/// default behind [`Annotation::anti_unify`]. The right side is
-/// partitioned into complete tuples (matched by hash lookup) and
-/// null-bearing tuples (matched by pairwise unification).
-fn anti_unify_support<A: Annotation>(left: AnnRel<A>, right: &AnnRel<A>) -> AnnRel<A> {
+/// Division `left ÷ right` (extended operator), on supports: a candidate
+/// prefix survives, annotated [`Annotation::one`], when every divisor tuple
+/// pairs with it in the dividend. The rows are iterated **by reference**:
+/// no annotation-dropping copy of either input is materialised.
+///
+/// Rejects domains without [`Annotation::SUPPORTS_EXTENDED`].
+fn divide<A: Annotation>(left: AnnRel<A>, right: &AnnRel<A>) -> Result<AnnRel<A>> {
+    require_extended::<A>("division")?;
+    let n = left.arity() - right.arity();
+    let head: Vec<usize> = (0..n).collect();
+    let dividend: HashSet<&Tuple> = left.rows().iter().map(|(t, _)| t).collect();
+    let mut out = AnnRel::new(n);
+    let mut seen: HashSet<Tuple> = HashSet::with_capacity(left.rows().len());
+    for (t, _) in left.rows() {
+        let cand = t.project(&head);
+        if !seen.insert(cand.clone()) {
+            continue;
+        }
+        if right
+            .rows()
+            .iter()
+            .all(|(b, _)| dividend.contains(&cand.concat(b)))
+        {
+            out.push(cand, A::one());
+        }
+    }
+    Ok(out)
+}
+
+/// The `Domᵏ` extended operator: all `k`-tuples over the source's active
+/// domain, annotated [`Annotation::one`].
+///
+/// Rejects domains without [`Annotation::SUPPORTS_EXTENDED`].
+fn dom_power<A: Annotation, S: Source<A>>(source: &S, k: usize) -> Result<AnnRel<A>> {
+    require_extended::<A>("Dom^k")?;
+    let domain = source.active_domain();
+    let mut out = AnnRel::new(k);
+    for t in crate::eval::dom_power_over(&domain, k) {
+        out.push(t, A::one());
+    }
+    Ok(out)
+}
+
+/// The unification anti-semijoin `left ⋉⇑ right` (extended operator), on
+/// supports, keeping left annotations. The right side is partitioned into
+/// complete tuples (matched by hash lookup) and null-bearing tuples
+/// (matched by pairwise unification).
+///
+/// Rejects domains without [`Annotation::SUPPORTS_EXTENDED`].
+fn anti_unify<A: Annotation>(left: AnnRel<A>, right: &AnnRel<A>) -> Result<AnnRel<A>> {
+    require_extended::<A>("anti-semijoin (⋉⇑)")?;
     let mut complete: HashSet<&Tuple> = HashSet::new();
     let mut with_nulls: Vec<&Tuple> = Vec::new();
     for (t, _) in right.rows() {
@@ -1228,7 +1212,7 @@ fn anti_unify_support<A: Annotation>(left: AnnRel<A>, right: &AnnRel<A>) -> AnnR
             out.push(t, a);
         }
     }
-    out
+    Ok(out)
 }
 
 /// The identity hook: no per-operator rewriting (set and bag semantics).

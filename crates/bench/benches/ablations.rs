@@ -1,6 +1,10 @@
-//! Ablation benches for the design choices called out in DESIGN.md §4:
-//! the unification anti-semijoin implementation, active-domain product
-//! materialisation, c-table condition handling, and µ estimation.
+//! Criterion ablation benches a01–a04: the unification anti-semijoin
+//! implementation, active-domain product materialisation, c-table condition
+//! handling, and µ estimation.
+//!
+//! The a05–a13 ablations are defined once, in the headless `bench_json`
+//! runner (`src/bin/bench_json.rs`), which checks each workload's
+//! cross-backend agreement before timing it.
 
 use certa::certain::prob;
 use certa::ctables::{Cond, Strategy};
@@ -127,442 +131,11 @@ fn a04_prob_estimation(c: &mut Criterion) {
     group.finish();
 }
 
-/// a05: the annotation-generic physical engine (hash join, scan-pushed
-/// selections, move-through pipeline) versus the seed's clone-per-node
-/// recursive interpreter, on a join-heavy workload: the three-way
-/// Customer ⋈ Orders ⋈ Lineitem chain plus a selective filter, under both
-/// set and conditional semantics.
-fn a05_physical_engine(c: &mut Criterion) {
-    let db = TpchGenerator::new(TpchConfig::scaled_to(2000, 0.05, 11)).generate();
-    // Customer ⋈ Orders on custkey, then ⋈ Lineitem on orderkey, keeping a
-    // selective totalprice filter as a residual conjunct.
-    let customers_orders = RaExpr::rel("Customer").join_on(RaExpr::rel("Orders"), &[(0, 1)], 3);
-    let three_way = customers_orders
-        .clone()
-        .join_on(RaExpr::rel("Lineitem"), &[(3, 0)], 6)
-        .select(Condition::neq_const(5, 0))
-        .project(vec![1, 3, 7]);
-    let mut group = c.benchmark_group("a05_physical_engine");
-    group.bench_function("set_hash_join_engine", |b| {
-        b.iter(|| eval(&three_way, &db).unwrap())
-    });
-    group.bench_function("set_clone_per_node_reference", |b| {
-        b.iter(|| certa::algebra::reference::eval_set_reference(&three_way, &db).unwrap())
-    });
-    let small = TpchGenerator::new(TpchConfig::scaled_to(250, 0.08, 11)).generate();
-    let two_way = RaExpr::rel("Customer")
-        .join_on(RaExpr::rel("Orders"), &[(0, 1)], 3)
-        .project(vec![1, 3]);
-    group.bench_function("ctable_eager_engine", |b| {
-        b.iter(|| {
-            eval_conditional(&two_way, &small, Strategy::Eager)
-                .unwrap()
-                .certain()
-        })
-    });
-    group.bench_function("ctable_eager_clone_per_node_reference", |b| {
-        b.iter(|| {
-            certa::ctables::eval::eval_conditional_reference(&two_way, &small, Strategy::Eager)
-                .unwrap()
-                .certain()
-        })
-    });
-    group.finish();
-}
-
-/// a06: the prepared/parallel certain-answer pipeline versus the seed's
-/// replan-per-world loop. The workload is an exact cert⊥ computation over
-/// the worlds of the default `exact_pool` on a database with 4 distinct
-/// nulls and a join query: the seed re-validates, re-plans and clones the
-/// database for every world; the prepared path plans once, substitutes
-/// nulls during scans (`ValuationSource`, zero copies) and chunks the
-/// valuation space across threads.
-fn a06_prepared_worlds(c: &mut Criterion) {
-    use certa::certain::cert::cert_with_nulls_with;
-    use certa::certain::reference::cert_with_nulls_seed;
-    use certa::certain::worlds::exact_pool;
-
-    // A multi-relation instance where the query touches R but most of the
-    // data lives in the wide ballast relation S — the common shape of real
-    // schemas, where no query reads every table. The seed loop materialises
-    // the whole world `v(D)` per valuation (S included); the prepared path
-    // scans only what the plan references, so S is never copied. The small
-    // constant domain keeps the exact_pool enumerable at 4 distinct nulls.
-    let db = random_database(&RandomDbConfig {
-        relations: vec![("R".to_string(), 3), ("S".to_string(), 8)],
-        tuples_per_relation: 1500,
-        domain_size: 3,
-        null_count: 4,
-        null_rate: 0.01,
-        seed: 12,
-    });
-    // A selective scan-pushed filter: per-world evaluation is cheap, so
-    // the replan-and-materialise overhead is what the ablation isolates.
-    let query = RaExpr::rel("R").select(Condition::eq_const(0, 1));
-    let spec = exact_pool(&query, &db);
-    assert!(
-        db.nulls().len() >= 4,
-        "ablation needs at least 4 nulls, got {}",
-        db.nulls().len()
-    );
-    let mut group = c.benchmark_group("a06_prepared_worlds");
-    group.bench_function("replan_per_world_seed", |b| {
-        b.iter(|| cert_with_nulls_seed(&query, &db, &spec).unwrap())
-    });
-    group.bench_function("prepared_single_thread", |b| {
-        let spec = spec.clone().with_threads(1);
-        b.iter(|| cert_with_nulls_with(&query, &db, &spec).unwrap())
-    });
-    group.bench_function("prepared_parallel", |b| {
-        b.iter(|| cert_with_nulls_with(&query, &db, &spec).unwrap())
-    });
-    group.finish();
-}
-
-/// a07: the null-aware logical optimizer (selection pushdown, greedy join
-/// reordering, dead-column pruning) and the evaluate-once hoisting of
-/// null-independent subplans, on a 3-way TPC-H-style join quantified over
-/// 1 000 possible worlds.
-///
-/// The query is written the way SQL lowering produces it — one big σ over
-/// `Customer × Orders × Lineitem` — so the unoptimized prepared path
-/// materialises the `Customer × Orders` cross product *in every world*
-/// before hash-joining Lineitem. The optimized path turns both equi
-/// conjuncts into cascaded hash joins; the hoisted path additionally
-/// evaluates the null-free `Orders ⋈ Lineitem` subplan **once** (nulls
-/// live only in Customer) and splices the materialised rows into all 1 000
-/// per-world executions. Workers are pinned to one thread so the ratio
-/// measures the algorithmic saving, not parallelism.
-fn a07_optimizer(c: &mut Criterion) {
-    use certa::algebra::physical::SetSource;
-    use certa::certain::worlds::{WorldEngine, WorldSpec};
-
-    // A complete TPC-H-style instance; 3 distinct nulls injected into
-    // Customer's nationkey column afterwards (Customer is the only
-    // world-variant relation, and the join keys stay null-free).
-    let base = TpchGenerator::new(TpchConfig {
-        customers: 40,
-        orders_per_customer: 2,
-        lineitems_per_order: 2,
-        parts: 12,
-        suppliers: 6,
-        nations: 4,
-        null_rate: 0.0,
-        seed: 7,
-    })
-    .generate();
-    let mut db = base.clone();
-    let customers: Vec<Tuple> = db.relation("Customer").unwrap().iter().cloned().collect();
-    let perturbed = customers.iter().enumerate().map(|(i, t)| {
-        if i < 3 {
-            Tuple::new([t[0].clone(), t[1].clone(), Value::null(i as u32)])
-        } else {
-            t.clone()
-        }
-    });
-    let perturbed: certa::data::Relation = perturbed.collect();
-    db.set_relation("Customer", perturbed).unwrap();
-    assert_eq!(db.nulls().len(), 3);
-
-    // As lowered from SQL: σ over the raw product chain, then a projection.
-    // Layout: Customer #0-#2, Orders #3-#5, Lineitem #6-#9.
-    let query = RaExpr::rel("Customer")
-        .product(RaExpr::rel("Orders"))
-        .product(RaExpr::rel("Lineitem"))
-        .select(
-            Condition::eq_attr(0, 4)
-                .and(Condition::eq_attr(3, 6))
-                .and(Condition::neq_const(9, 0)),
-        )
-        .project(vec![1, 2, 5]);
-
-    // 10-constant pool over 3 nulls: exactly 1 000 possible worlds.
-    let spec = WorldSpec::new((0..10).map(certa::data::Const::Int)).with_threads(1);
-    assert_eq!(spec.world_count(&db), 1000);
-
-    let total_answers = |world_query: &certa::algebra::PreparedWorldQuery,
-                         cache: &[certa::algebra::AnnRel<certa::algebra::physical::SetAnn>]|
-     -> usize {
-        let engine = WorldEngine::new(&db, &spec).unwrap();
-        engine
-            .map_reduce(
-                |v| Ok(world_query.eval_set_world(&db, v, cache)?.len()),
-                |a, b| a + b,
-                |_| false,
-            )
-            .unwrap()
-            .unwrap()
-    };
-
-    let unopt = PreparedQuery::prepare(&query, db.schema()).unwrap();
-    let opt =
-        PreparedQuery::prepare_optimized_with(&query, db.schema(), &Stats::from_database(&db))
-            .unwrap();
-    // "No hoisting" variants: split with a predicate that declares nothing
-    // invariant, so every world re-executes the full plan.
-    let unopt_world = unopt.for_worlds(|_| false);
-    let opt_world = opt.for_worlds(|_| false);
-    let hoisted = opt.for_world_db(&db);
-    let cache = hoisted.materialize(&SetSource(&db)).unwrap();
-    assert!(
-        hoisted.hoisted_count() > 0,
-        "Orders ⋈ Lineitem must hoist: {:?}",
-        hoisted.plan()
-    );
-    // All three paths agree before anything is timed.
-    let expected = total_answers(&unopt_world, &[]);
-    assert_eq!(expected, total_answers(&opt_world, &[]));
-    assert_eq!(expected, total_answers(&hoisted, &cache));
-
-    let mut group = c.benchmark_group("a07_optimizer");
-    group.bench_function("unoptimized_prepared", |b| {
-        b.iter(|| total_answers(&unopt_world, &[]))
-    });
-    group.bench_function("optimized_no_hoist", |b| {
-        b.iter(|| total_answers(&opt_world, &[]))
-    });
-    group.bench_function("optimized_hoisted", |b| {
-        b.iter(|| total_answers(&hoisted, &cache))
-    });
-    group.finish();
-}
-
-/// a08: the symbolic lineage backend (c-table conditions compiled into
-/// decision diagrams, certainty = validity, µ_k = exact model count)
-/// versus prepared/parallel world enumeration, on the two regimes that
-/// matter:
-///
-/// * **Feasible but slow** — 10 independent nulls over a 4-constant pool
-///   (2^20 ≈ 1M worlds): the single-threaded enumeration takes seconds,
-///   the lineage batch answers the same cert/µ_k queries from one
-///   compiled diagram set in well under a millisecond.
-/// * **Beyond enumeration** — 32 independent nulls (2^64 worlds): the
-///   engines refuse with `TooManyWorlds` before doing any work, while the
-///   lineage backend still answers exactly (the setup asserts both).
-///
-/// Under `cargo test` (bench bodies run once) the slow regime shrinks to
-/// 4 nulls so the smoke run stays fast; `cargo bench` measures the full
-/// configuration.
-fn a08_lineage(c: &mut Criterion) {
-    use certa::certain::cert::{cert_with_nulls_lineage_with, cert_with_nulls_with};
-    use certa::certain::worlds::WorldSpec;
-    use certa::certain::{prob, CertainError};
-
-    let test_mode = std::env::args().any(|a| a == "--test");
-    // This group's benchmark names, used both for registration below and
-    // for the setup gate (so the two can never drift apart): the setup
-    // runs two full million-world enumerations as agreement checks, and
-    // must be skipped entirely when the harness's own filter predicate
-    // (`Criterion::matches`, which only covers the measured bodies, not
-    // setup) selects none of this group's benchmarks.
-    const GROUP: &str = "a08_lineage";
-    const ENUMERATION_CERT: &str = "enumeration_cert_1M_worlds";
-    const LINEAGE_CERT: &str = "lineage_cert_1M_worlds";
-    const ENUMERATION_MU: &str = "enumeration_mu_k4";
-    const LINEAGE_MU: &str = "lineage_mu_k4";
-    const LINEAGE_CERT_BIG: &str = "lineage_cert_32_nulls_beyond_enumeration";
-    const LINEAGE_MU_BIG: &str = "lineage_mu_32_nulls_beyond_enumeration";
-    let names = [
-        ENUMERATION_CERT,
-        LINEAGE_CERT,
-        ENUMERATION_MU,
-        LINEAGE_MU,
-        LINEAGE_CERT_BIG,
-        LINEAGE_MU_BIG,
-    ];
-    if !names.iter().any(|n| c.matches(&format!("{GROUP}/{n}"))) {
-        return;
-    }
-    let build = |nulls: u32| -> (Database, RaExpr) {
-        // R = {⊥0 … ⊥n−1, 0, 1}, S = {1}, Q = R − S: the null candidates
-        // are possible-but-uncertain (⊥ᵢ could be 1), the constant 0 is
-        // certain — so the certainty sweep can never exit early and must
-        // decide the whole valuation space, by enumeration or symbolically.
-        let mut rows: Vec<Tuple> = (0..nulls).map(|i| tup![Value::null(i)]).collect();
-        rows.push(tup![0]);
-        rows.push(tup![1]);
-        let db = database_from_literal([("R", vec!["a"], rows), ("S", vec!["a"], vec![tup![1]])]);
-        (db, RaExpr::rel("R").difference(RaExpr::rel("S")))
-    };
-
-    // Regime 1: enumeration feasible but slow. Workers pinned to one
-    // thread so the ratio measures the algorithmic saving.
-    let slow_nulls: u32 = if test_mode { 4 } else { 10 };
-    let (db, query) = build(slow_nulls);
-    let spec = WorldSpec::new((0..4i64).map(certa::data::Const::Int)).with_threads(1);
-    assert_eq!(spec.world_count(&db), 4usize.pow(slow_nulls));
-    // Both backends agree before anything is timed.
-    let by_worlds = cert_with_nulls_with(&query, &db, &spec).unwrap();
-    let by_lineage = cert_with_nulls_lineage_with(&query, &db, &spec).unwrap();
-    assert_eq!(by_worlds, by_lineage);
-    assert!(by_lineage.contains(&tup![0]));
-    let mu_worlds = prob::mu_k(&query, &db, &tup![0], 4).unwrap();
-    let mu_lineage = prob::mu_k_lineage(&query, &db, &tup![0], 4).unwrap();
-    assert_eq!(mu_worlds, mu_lineage);
-
-    let mut group = c.benchmark_group(GROUP);
-    group.bench_function(ENUMERATION_CERT, |b| {
-        b.iter(|| cert_with_nulls_with(&query, &db, &spec).unwrap())
-    });
-    group.bench_function(LINEAGE_CERT, |b| {
-        b.iter(|| cert_with_nulls_lineage_with(&query, &db, &spec).unwrap())
-    });
-    group.bench_function(ENUMERATION_MU, |b| {
-        b.iter(|| prob::mu_k(&query, &db, &tup![0], 4).unwrap())
-    });
-    group.bench_function(LINEAGE_MU, |b| {
-        b.iter(|| prob::mu_k_lineage(&query, &db, &tup![0], 4).unwrap())
-    });
-
-    // Regime 2: beyond enumeration entirely — 32 independent nulls are
-    // 2^64 worlds over this pool; the engines must refuse and the lineage
-    // backend must still answer (µ with an exact 2^64 denominator).
-    let (big_db, big_query) = build(32);
-    let big_spec = WorldSpec::new((0..4i64).map(certa::data::Const::Int)).with_threads(1);
-    assert!(matches!(
-        cert_with_nulls_with(&big_query, &big_db, &big_spec),
-        Err(CertainError::TooManyWorlds { .. })
-    ));
-    assert!(matches!(
-        prob::mu_k(&big_query, &big_db, &tup![0], 4),
-        Err(CertainError::TooManyWorlds { .. })
-    ));
-    let frac = prob::mu_k_lineage(&big_query, &big_db, &tup![0], 4).unwrap();
-    assert_eq!(frac.denominator, 1u128 << 64);
-    assert_eq!(frac.as_f64(), 1.0);
-    group.bench_function(LINEAGE_CERT_BIG, |b| {
-        b.iter(|| cert_with_nulls_lineage_with(&big_query, &big_db, &big_spec).unwrap())
-    });
-    group.bench_function(LINEAGE_MU_BIG, |b| {
-        b.iter(|| prob::mu_k_lineage(&big_query, &big_db, &tup![0], 4).unwrap())
-    });
-    group.finish();
-}
-
-/// a09: the **world-mask single pass** versus prepared/parallel world
-/// enumeration, on an a07/a08-style workload at 2^12 = 4096 worlds: a
-/// join query over a relation holding 12 independent nulls plus a few
-/// hundred complete ballast rows. Enumeration executes the (prepared,
-/// hoisted) plan once per world — 4096 executions even across 16 worker
-/// threads — while the mask backend executes it **once**, every tuple
-/// carrying a 64-word bitset (one bit per world, 64 worlds per AND/OR).
-///
-/// A second pair runs a `null(·)`-predicate query **outside the lineage
-/// fragment** — the instances where the PR 4 dispatcher had nothing
-/// faster than enumeration to fall back to, and where the mask backend
-/// now answers in one pass.
-///
-/// Under `cargo test` (bench bodies run once) the world count shrinks to
-/// 2^6 so the smoke run stays fast; `cargo bench` measures the full 2^12.
-fn a09_mask(c: &mut Criterion) {
-    use certa::certain::cert::cert_with_nulls_with;
-    use certa::certain::mask::cert_with_nulls_mask_with;
-    use certa::certain::worlds::WorldSpec;
-    use certa::certain::{classify_candidates_mask, prob};
-
-    let test_mode = std::env::args().any(|a| a == "--test");
-    let nulls: u32 = if test_mode { 6 } else { 12 };
-
-    // Like a08: the setup below runs several full 2^12-world enumerations
-    // as agreement checks, so it must be skipped entirely when the
-    // harness's filter predicate selects none of this group's benchmarks.
-    const GROUP: &str = "a09_mask";
-    let names = [
-        "enumeration_cert_16_threads",
-        "enumeration_cert_1_thread",
-        "mask_cert_single_pass",
-        "enumeration_mu_k2",
-        "mask_mu_k2",
-        "enumeration_classify_unsupported_fragment",
-        "mask_classify_unsupported_fragment",
-    ];
-    if !names.iter().any(|n| c.matches(&format!("{GROUP}/{n}"))) {
-        return;
-    }
-
-    // R(a, b): one row (i, ⊥ᵢ) per null plus complete ballast rows
-    // (100+j, j mod 7); S(b) keeps 1, 3 and 5. A null row joins exactly
-    // when its null resolves to 1 — half the worlds — so certainty work
-    // can never exit early, and the join body is executed per world.
-    let mut rows: Vec<Tuple> = (0..nulls)
-        .map(|i| tup![i64::from(i), Value::null(i)])
-        .collect();
-    for j in 0..300i64 {
-        rows.push(tup![100 + j, j % 7]);
-    }
-    let db = database_from_literal([
-        ("R", vec!["a", "b"], rows),
-        ("S", vec!["b"], vec![tup![1], tup![3], tup![5]]),
-        ("T", vec!["a"], vec![tup![101], tup![105]]),
-    ]);
-    let query = RaExpr::rel("R")
-        .join_on(RaExpr::rel("S"), &[(1, 0)], 2)
-        .project(vec![0])
-        .difference(RaExpr::rel("T"));
-    let spec = WorldSpec::new([certa::data::Const::Int(1), certa::data::Const::Int(2)]);
-    assert_eq!(spec.world_count(&db), 1usize << nulls);
-
-    // All backends agree before anything is timed.
-    let spec16 = spec.clone().with_threads(16);
-    let spec1 = spec.clone().with_threads(1);
-    let by_worlds = cert_with_nulls_with(&query, &db, &spec16).unwrap();
-    let by_mask = cert_with_nulls_mask_with(&query, &db, &spec).unwrap();
-    assert_eq!(by_worlds, by_mask);
-    assert!(!by_mask.is_empty());
-    let mu_worlds = prob::mu_k(&query, &db, &tup![0], 2).unwrap();
-    let mu_mask = prob::mu_k_mask(&query, &db, &tup![0], 2).unwrap();
-    assert_eq!(mu_worlds, mu_mask);
-
-    let mut group = c.benchmark_group(GROUP);
-    group.bench_function("enumeration_cert_16_threads", |b| {
-        b.iter(|| cert_with_nulls_with(&query, &db, &spec16).unwrap())
-    });
-    group.bench_function("enumeration_cert_1_thread", |b| {
-        b.iter(|| cert_with_nulls_with(&query, &db, &spec1).unwrap())
-    });
-    group.bench_function("mask_cert_single_pass", |b| {
-        b.iter(|| cert_with_nulls_mask_with(&query, &db, &spec).unwrap())
-    });
-    group.bench_function("enumeration_mu_k2", |b| {
-        b.iter(|| prob::mu_k(&query, &db, &tup![0], 2).unwrap())
-    });
-    group.bench_function("mask_mu_k2", |b| {
-        b.iter(|| prob::mu_k_mask(&query, &db, &tup![0], 2).unwrap())
-    });
-
-    // Outside the lineage fragment: null(b) ∨ b = 1 keeps the classifier
-    // honest (the predicate is live in half the worlds per null row).
-    let unsupported = RaExpr::rel("R")
-        .select(Condition::IsNull(1).or(Condition::eq_const(1, 1)))
-        .project(vec![0]);
-    let prepared = PreparedQuery::prepare(&unsupported, db.schema()).unwrap();
-    let candidates: Vec<Tuple> = (0..nulls).map(|i| tup![i64::from(i)]).collect();
-    let by_worlds =
-        certa::certain::cert::classify_candidates(&prepared, &db, &spec16, &candidates).unwrap();
-    let by_mask = classify_candidates_mask(&prepared, &db, &spec, &candidates).unwrap();
-    assert_eq!(by_worlds, by_mask);
-    assert!(by_mask.iter().all(|s| s.possible && !s.certain));
-    group.bench_function("enumeration_classify_unsupported_fragment", |b| {
-        b.iter(|| {
-            certa::certain::cert::classify_candidates(&prepared, &db, &spec16, &candidates).unwrap()
-        })
-    });
-    group.bench_function("mask_classify_unsupported_fragment", |b| {
-        b.iter(|| classify_candidates_mask(&prepared, &db, &spec, &candidates).unwrap())
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     a01_antijoin,
     a02_dom_product,
     a03_ctable_conds,
-    a04_prob_estimation,
-    a05_physical_engine,
-    a06_prepared_worlds,
-    a07_optimizer,
-    a08_lineage,
-    a09_mask
+    a04_prob_estimation
 );
 criterion_main!(benches);

@@ -1,13 +1,12 @@
-//! Headless ablation runner: re-times the a05–a13 ablation workloads with
-//! plain [`std::time::Instant`] and emits machine-readable JSON so the
-//! performance trajectory is comparable across PRs without parsing
-//! criterion output.
+//! Headless ablation runner: the one definition of the a05–a13 ablation
+//! workloads, timed with plain [`std::time::Instant`] and emitted as
+//! machine-readable JSON so the performance trajectory is comparable across
+//! PRs. (The criterion suite in `benches/ablations.rs` keeps only a01–a04.)
 //!
 //! Every variant is verified for cross-backend agreement *before* it is
-//! timed (the same assertions the criterion benches make) — including
-//! bit-identical mask results across every swept worker count,
-//! refined-equals-recomputed classifications after every update of the
-//! incremental ablation, and bit-identical recovery of every durable
+//! timed — including bit-identical mask results across every swept worker
+//! count, refined-equals-recomputed classifications after every update of
+//! the incremental ablation, and bit-identical recovery of every durable
 //! store the durability ablation replays — so a committed `BENCH_8.json`
 //! is also a correctness witness.
 //!
@@ -53,7 +52,6 @@ use certa::algebra::physical::SetSource;
 use certa::certain::cert::{
     cert_with_nulls_with, classify_candidates, classify_candidates_lineage,
 };
-use certa::certain::mask::rc_baseline::{cert_with_nulls_mask_rc_with, RcMaskBatch};
 use certa::certain::mask::{cert_with_nulls_mask_with, classify_candidates_mask, MaskBatch};
 use certa::certain::reference::cert_with_nulls_seed;
 use certa::certain::worlds::{exact_pool, WorldSpec};
@@ -254,7 +252,9 @@ fn a07(out: &mut Vec<Entry>, quick: bool) {
     let opt_world = opt.for_worlds(|_| false);
     let hoisted = opt.for_world_db(&db);
     let cache = hoisted.materialize(&SetSource(&db)).unwrap();
+    assert!(hoisted.hoisted_count() > 0, "Orders ⋈ Lineitem must hoist");
     let expected = total_answers(&opt_world, &[]);
+    assert_eq!(expected, total_answers(&unopt_world, &[]));
     assert_eq!(expected, total_answers(&hoisted, &cache));
     push(out, "a07_optimizer", "unoptimized_prepared", 3, || {
         total_answers(&unopt_world, &[]);
@@ -278,9 +278,15 @@ fn a08(out: &mut Vec<Entry>, quick: bool) {
     let db = database_from_literal([("R", vec!["a"], rows), ("S", vec!["a"], vec![tup![1]])]);
     let query = RaExpr::rel("R").difference(RaExpr::rel("S"));
     let spec = WorldSpec::new((0..4i64).map(certa::data::Const::Int)).with_threads(1);
+    let by_lineage = cert_with_nulls_lineage_with(&query, &db, &spec).unwrap();
     assert_eq!(
         cert_with_nulls_with(&query, &db, &spec).unwrap(),
-        cert_with_nulls_lineage_with(&query, &db, &spec).unwrap()
+        by_lineage
+    );
+    assert!(by_lineage.contains(&tup![0]));
+    assert_eq!(
+        prob::mu_k(&query, &db, &tup![0], 4).unwrap(),
+        prob::mu_k_lineage(&query, &db, &tup![0], 4).unwrap()
     );
     push(out, "a08_lineage", "enumeration_cert_1_thread", 3, || {
         cert_with_nulls_with(&query, &db, &spec).unwrap();
@@ -328,10 +334,9 @@ fn a09(out: &mut Vec<Entry>, quick: bool, threads_list: &[usize]) {
     let (db, query, spec) = mask_workload(quick);
     let spec16 = spec.clone().with_threads(16);
     let spec1 = spec.clone().with_threads(1);
-    assert_eq!(
-        cert_with_nulls_with(&query, &db, &spec16).unwrap(),
-        cert_with_nulls_mask_with(&query, &db, &spec).unwrap()
-    );
+    let by_mask = cert_with_nulls_mask_with(&query, &db, &spec).unwrap();
+    assert_eq!(cert_with_nulls_with(&query, &db, &spec16).unwrap(), by_mask);
+    assert!(!by_mask.is_empty());
     assert_eq!(
         prob::mu_k(&query, &db, &tup![0], 2).unwrap(),
         prob::mu_k_mask(&query, &db, &tup![0], 2).unwrap()
@@ -363,10 +368,12 @@ fn a09(out: &mut Vec<Entry>, quick: bool, threads_list: &[usize]) {
         classify_candidates_lineage(&unsupported, &db, &spec, &candidates),
         Err(CertainError::Lineage(e)) if e.is_unsupported()
     ));
+    let by_mask = classify_candidates_mask(&prepared, &db, &spec, &candidates).unwrap();
     assert_eq!(
         classify_candidates(&prepared, &db, &spec16, &candidates).unwrap(),
-        classify_candidates_mask(&prepared, &db, &spec, &candidates).unwrap()
+        by_mask
     );
+    assert!(by_mask.iter().all(|s| s.possible && !s.certain));
     push(
         out,
         "a09_mask",
@@ -410,12 +417,10 @@ fn a09(out: &mut Vec<Entry>, quick: bool, threads_list: &[usize]) {
     }
 }
 
-/// a10: the columnar arena executor versus the PR-5 `Rc<MaskBuf>` mask
-/// path on the same 2^12-world workload, with a worker-count sweep over
-/// both the certainty filter and candidate classification. Before any
-/// timing, every swept worker count is checked to produce **bit-identical**
-/// results (row order included) against the 1-worker run and the `Rc`
-/// baseline.
+/// a10: the columnar mask executor on the same 2^12-world workload, with a
+/// worker-count sweep over the batch compile, the certainty filter and
+/// candidate classification. Before any timing, every swept worker count is
+/// checked to produce **bit-identical** results against the 1-worker run.
 fn a10(out: &mut Vec<Entry>, quick: bool, threads_list: &[usize]) {
     let nulls: u32 = if quick { 6 } else { 12 };
     let (db, query, spec) = mask_workload(quick);
@@ -427,10 +432,6 @@ fn a10(out: &mut Vec<Entry>, quick: bool, threads_list: &[usize]) {
     let spec1 = spec.clone().with_threads(1);
     let reference_cert = cert_with_nulls_mask_with(&query, &db, &spec1).unwrap();
     let reference_classify = classify_candidates_mask(&prepared, &db, &spec1, &candidates).unwrap();
-    assert_eq!(
-        reference_cert,
-        cert_with_nulls_mask_rc_with(&query, &db, &spec1).unwrap()
-    );
     for &t in threads_list {
         let spec_t = spec.clone().with_threads(t);
         assert_eq!(
@@ -448,9 +449,6 @@ fn a10(out: &mut Vec<Entry>, quick: bool, threads_list: &[usize]) {
     // The batch compile (plan execution under the mask domain) isolates
     // the executor itself; the cert entries below add the shared
     // naive-evaluation candidate pass and the certainty filter on top.
-    push(out, "a10_columnar", "mask_batch_compile_rc", 30, || {
-        RcMaskBatch::compile(&query, &db, &spec1).unwrap();
-    });
     for &t in threads_list {
         let spec_t = spec.clone().with_threads(t);
         let effective = spec_t.effective_threads();
@@ -465,9 +463,6 @@ fn a10(out: &mut Vec<Entry>, quick: bool, threads_list: &[usize]) {
             },
         );
     }
-    push(out, "a10_columnar", "mask_cert_rc_baseline", 30, || {
-        cert_with_nulls_mask_rc_with(&query, &db, &spec1).unwrap();
-    });
     for &t in threads_list {
         let spec_t = spec.clone().with_threads(t);
         let effective = spec_t.effective_threads();
@@ -1022,19 +1017,6 @@ fn main() {
             "a09_mask",
             "enumeration_classify_unsupported_fragment",
         ) / find(&entries, "a09_mask", "mask_classify_unsupported_fragment");
-    let first_t = threads_list.first().unwrap_or(&1);
-    let columnar_t1_speedup = find(&entries, "a10_columnar", "mask_cert_rc_baseline")
-        / find(
-            &entries,
-            "a10_columnar",
-            &format!("mask_cert_columnar_t{first_t}"),
-        );
-    let compile_t1_speedup = find(&entries, "a10_columnar", "mask_batch_compile_rc")
-        / find(
-            &entries,
-            "a10_columnar",
-            &format!("mask_batch_compile_columnar_t{first_t}"),
-        );
     let resolve_refine_speedup = find(&entries, "a11_incremental", "resolve_recompute_scratch")
         / find(&entries, "a11_incremental", "resolve_refine_cached");
     let insert_refine_speedup = find(&entries, "a11_incremental", "insert_recompute_scratch")
@@ -1098,12 +1080,6 @@ fn main() {
     ));
     json.push_str(&format!(
         "    \"a09_mask_classify_speedup_on_lineage_unsupported_fragment\": {mask_speedup_unsupported:.1},\n"
-    ));
-    json.push_str(&format!(
-        "    \"a10_columnar_single_thread_cert_speedup_over_rc_baseline\": {columnar_t1_speedup:.2},\n"
-    ));
-    json.push_str(&format!(
-        "    \"a10_columnar_single_thread_compile_speedup_over_rc_baseline\": {compile_t1_speedup:.2},\n"
     ));
     json.push_str(&format!(
         "    \"a11_resolve_refine_speedup_over_recompute\": {resolve_refine_speedup:.1},\n"

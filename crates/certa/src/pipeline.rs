@@ -398,6 +398,18 @@ struct MaskState {
     batch: MaskBatch,
 }
 
+/// The plan the mask rung executes on `db`: the lowered query optimized
+/// with the instance's statistics. [`Pipeline::explain`] profiles this same
+/// plan, not the schema-level `plain` one.
+fn mask_plan(expr: &RaExpr, db: &Database) -> Result<PreparedQuery> {
+    let stats = Stats::from_database(db);
+    Ok(PreparedQuery::prepare_optimized_with(
+        expr,
+        db.schema(),
+        &stats,
+    )?)
+}
+
 /// Counts of the refine-vs-recompute decisions taken for one cached query,
 /// reported by [`Pipeline::explain`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -728,9 +740,14 @@ impl Pipeline {
 
     /// Open a durable store: create (or take over) `dir`, attach a
     /// write-ahead log to `db`, and return a fresh pipeline to serve it.
-    /// From here on every mutation of `db` is persisted before it returns;
-    /// after a crash, [`Pipeline::recover`] on the same directory restores
-    /// the committed prefix.
+    /// From here on every mutation of `db` writes its log frame before it
+    /// returns, so once a mutator returns its mutation survives a process
+    /// crash (`kill -9`). Frames are not fsynced as they are written: a
+    /// mutation survives power loss only once the next
+    /// [`Database::sync_durable`], [`Database::snapshot_durable`] or
+    /// [`Database::detach_durable`] returns. After a crash,
+    /// [`Pipeline::recover`] on the same directory restores the committed
+    /// prefix.
     ///
     /// # Errors
     ///
@@ -1148,17 +1165,10 @@ impl Pipeline {
                     isolated(|| {
                         let _sp = obs::span("backend:mask");
                         // Instance-dependent pieces are re-derived here, per
-                        // `(instance, epoch)`: the plan is re-optimized with
-                        // the instance's statistics (the schema-level
-                        // `plain` plan stays cached for the other backends),
-                        // and its delta profile is computed for the answer
-                        // cache's refine decisions.
-                        let stats = Stats::from_database(db);
-                        let prepared = PreparedQuery::prepare_optimized_with(
-                            &entry.lowered.expr,
-                            db.schema(),
-                            &stats,
-                        )?;
+                        // `(instance, epoch)`: the instance plan, and its
+                        // delta profile for the answer cache's refine
+                        // decisions.
+                        let prepared = mask_plan(&entry.lowered.expr, db)?;
                         let batch = MaskBatch::from_prepared(&prepared, db, &spec)?;
                         let statuses = batch.classify(&tuples)?;
                         let profile = delta_profile(prepared.plan());
@@ -1386,11 +1396,12 @@ impl Pipeline {
             }
         }
         if backend.backend == Backend::Mask {
-            // Run the masked pass once purely to report its shape: the
-            // mask width and how many distinct bitsets the operators
-            // actually produced.
+            // Run the plan the mask rung executes once, purely to report its
+            // shape: the mask width and how many distinct bitsets the
+            // operators actually produced.
+            let prepared = mask_plan(&entry.lowered.expr, db)?;
             backend.mask_stats = Some(
-                certa_certain::mask::profile(&entry.plain, db, &spec)
+                certa_certain::mask::profile(&prepared, db, &spec)
                     .map_err(PipelineError::Certain)?,
             );
         }
@@ -1709,8 +1720,7 @@ impl fmt::Display for Explain {
             writeln!(
                 f,
                 "  parallel plan: {} worker thread(s) (requested {}), \
-                 {} morsel(s) dispatched, {} arena word(s) ({} bytes) of masks, \
-                 {} recycled Rc buffer(s) retained",
+                 {} morsel(s) dispatched, {} arena word(s) ({} bytes) of masks",
                 stats.threads,
                 if stats.threads_requested == 0 {
                     "auto".to_string()
@@ -1719,8 +1729,7 @@ impl fmt::Display for Explain {
                 },
                 stats.morsels,
                 stats.arena_words,
-                stats.arena_words * 8,
-                stats.rc_arena_buffers
+                stats.arena_words * 8
             )?;
         }
         if self.hoisted.is_empty() {
@@ -2271,6 +2280,45 @@ mod tests {
         assert!(ex.cache_evictions >= 1);
         assert_eq!(ex.cache_capacity, 2);
         assert!(ex.to_string().contains("eviction"), "{ex}");
+    }
+
+    /// `explain` profiles the plan the mask rung executes: the lowered
+    /// query optimized with the instance's statistics. On this instance
+    /// that plan differs from the schema-level `plain` one, and so do the
+    /// mask stats the two produce.
+    #[test]
+    fn explain_profiles_the_plan_the_mask_rung_runs() {
+        let config = certa_workload::TpchConfig {
+            customers: 30,
+            null_rate: 0.0,
+            ..Default::default()
+        };
+        let mut db = certa_workload::TpchGenerator::new(config).generate();
+        // One null, in the first customer's nationkey.
+        let customers: Relation = db
+            .relation("Customer")
+            .unwrap()
+            .iter()
+            .enumerate()
+            .map(|(i, t)| match i {
+                0 => Tuple::new([t[0].clone(), t[1].clone(), Value::null(0)]),
+                _ => t.clone(),
+            })
+            .collect();
+        db.set_relation("Customer", customers).unwrap();
+        let sql = "SELECT c.name, o.orderkey FROM Customer c, Orders o \
+                   WHERE c.custkey = o.custkey AND c.nationkey = 1";
+        let mut p = Pipeline::new();
+        let explained = p.explain(sql, &db).unwrap();
+        assert_eq!(explained.backend.backend, Backend::Mask);
+        let entry = &p.cache[sql];
+        let run = mask_plan(&entry.lowered.expr, &db).unwrap();
+        assert_ne!(entry.plain.plan().to_string(), run.plan().to_string());
+        let spec = certa_certain::worlds::exact_pool(&entry.lowered.expr, &db);
+        let profile =
+            |plan: &PreparedQuery| certa_certain::mask::profile(plan, &db, &spec).unwrap();
+        assert_ne!(profile(&entry.plain), profile(&run));
+        assert_eq!(explained.backend.mask_stats, Some(profile(&run)));
     }
 
     #[test]

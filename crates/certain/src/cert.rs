@@ -22,7 +22,7 @@
 //! (cardinalities + which relations actually hold nulls, so the join order
 //! clusters null-free relations), and the prepared plan is split on
 //! null-dependence: maximal subplans that read only complete relations are
-//! evaluated **once** ([`WorldBatch`]) and the materialised rows are
+//! evaluated **once** (`WorldBatch`) and the materialised rows are
 //! spliced into every per-world execution.
 
 use crate::worlds::{exact_pool, WorldEngine, WorldSpec};

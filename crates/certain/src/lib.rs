@@ -31,8 +31,8 @@
 //!   (Theorem 4.11);
 //! * [`constraints`] — functional and inclusion dependencies and the chase,
 //!   used by the conditional-probability machinery;
-//! * [`reference`] — the seed's replan-per-world loops, kept as oracles for
-//!   the prepared/parallel pipeline (property tests and the
+//! * [`reference`](mod@reference) — the seed's replan-per-world loops, kept
+//!   as oracles for the prepared/parallel pipeline (property tests and the
 //!   `a06_prepared_worlds` ablation);
 //! * [`quality`] — precision/recall of approximate answers against the
 //!   exact certain answers (the measurements of the `[27]` study, E4).

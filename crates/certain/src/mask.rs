@@ -39,7 +39,6 @@ use certa_algebra::mask::{
 };
 use certa_algebra::{naive_eval, MorselPool, PreparedQuery, RaExpr, Stats};
 use certa_data::{Database, Relation, Tuple};
-use std::collections::HashMap;
 
 /// Everything one `(query, database, pool)` instance needs for mask-based
 /// certainty: the substitution context and the query's output rows with
@@ -427,10 +426,6 @@ pub struct MaskStats {
     pub morsels: usize,
     /// Total mask-arena words across operator outputs (8 bytes each).
     pub arena_words: usize,
-    /// Buffers retained by this thread's `Rc`-path recycling arena after
-    /// the pass — the occupancy counter for the legacy annotation path
-    /// (worker arenas are drained on scope exit and never show up here).
-    pub rc_arena_buffers: usize,
 }
 
 /// Execute the prepared plan once under the mask domain purely to profile
@@ -456,78 +451,7 @@ pub fn profile(prepared: &PreparedQuery, db: &Database, spec: &WorldSpec) -> Res
         threads: pool.threads(),
         morsels: stats.morsels,
         arena_words: stats.arena_words,
-        rc_arena_buffers: certa_algebra::mask::arena_occupancy().0,
     })
-}
-
-/// The PR-5 reference implementation of the mask batch, kept verbatim as
-/// the *baseline* the benchmarks measure the columnar executor against (and
-/// as a second in-domain oracle): the same single-pass mask semantics, but
-/// with per-tuple `Rc<MaskBuf>` annotations flowing through the
-/// annotation-generic engine instead of relation-level arenas.
-pub mod rc_baseline {
-    use super::*;
-    use certa_algebra::mask::{MaskAnn, MaskContext, MaskSource};
-    use certa_algebra::AnnRel;
-
-    /// The `Rc`-annotated batch: tuple → mask map from one engine pass.
-    pub struct RcMaskBatch {
-        ctx: MaskContext,
-        rows: HashMap<Tuple, MaskAnn>,
-    }
-
-    impl RcMaskBatch {
-        /// Optimize, prepare and execute under the `Rc` mask domain.
-        ///
-        /// # Errors
-        ///
-        /// As [`MaskBatch::compile`].
-        pub fn compile(query: &RaExpr, db: &Database, spec: &WorldSpec) -> Result<RcMaskBatch> {
-            spec.check(db)?;
-            let ctx = MaskContext::new(db.nulls(), spec.pool().iter().cloned()).ok_or(
-                CertainError::TooManyWorlds {
-                    worlds: usize::MAX,
-                    bound: spec.bound(),
-                },
-            )?;
-            let stats = Stats::from_database(db);
-            let prepared = PreparedQuery::prepare_optimized_with(query, db.schema(), &stats)?;
-            let out: AnnRel<MaskAnn> = prepared.execute_on(&MaskSource::new(db, &ctx))?;
-            Ok(RcMaskBatch {
-                ctx,
-                rows: out.into_rows().into_iter().collect(),
-            })
-        }
-
-        /// Certainty through the `Rc` annotations (the PR-5 read).
-        pub fn is_certain(&self, t: &Tuple) -> bool {
-            self.ctx
-                .expand(t)
-                .iter()
-                .all(|(ground, cylinder)| match self.rows.get(ground) {
-                    Some(mask) => self.ctx.covers(mask, cylinder),
-                    None => self.ctx.count(cylinder) == 0,
-                })
-        }
-    }
-
-    /// [`cert_with_nulls_mask_with`] through the `Rc` baseline.
-    ///
-    /// # Errors
-    ///
-    /// As [`cert_with_nulls_mask`].
-    pub fn cert_with_nulls_mask_rc_with(
-        query: &RaExpr,
-        db: &Database,
-        spec: &WorldSpec,
-    ) -> Result<Relation> {
-        let candidates = naive_eval(query, db)?;
-        let batch = RcMaskBatch::compile(query, db, spec)?;
-        Ok(Relation::with_arity(
-            candidates.arity(),
-            candidates.iter().filter(|t| batch.is_certain(t)).cloned(),
-        ))
-    }
 }
 
 #[cfg(test)]
@@ -825,18 +749,5 @@ mod tests {
                 "{workers} workers"
             );
         }
-    }
-
-    #[test]
-    fn rc_baseline_agrees_with_the_columnar_path() {
-        let db = shop_with_null();
-        let q = RaExpr::rel("Orders")
-            .project(vec![0])
-            .difference(RaExpr::rel("Payments").project(vec![1]));
-        let spec = exact_pool(&q, &db);
-        assert_eq!(
-            rc_baseline::cert_with_nulls_mask_rc_with(&q, &db, &spec).unwrap(),
-            cert_with_nulls_mask_with(&q, &db, &spec).unwrap()
-        );
     }
 }

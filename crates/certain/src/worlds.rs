@@ -362,7 +362,7 @@ impl<'a> WorldEngine<'a> {
                         // cancel token) applies inside every worker.
                         let _governed = governor::install(shared.clone());
                         let _observed = certa_obs::attach(obs_ctx.as_ref());
-                        let out = catch_unwind(AssertUnwindSafe(|| {
+                        catch_unwind(AssertUnwindSafe(|| {
                             self.fold_range(lo, hi, init, fold, absorbing, Some(stop))
                         }))
                         .unwrap_or_else(|payload| {
@@ -370,11 +370,7 @@ impl<'a> WorldEngine<'a> {
                             Err(CertainError::Governor(GovernorError::WorkerPanicked(
                                 governor::panic_message(&*payload),
                             )))
-                        });
-                        // Drain-on-scope-exit: mask buffers recycled on
-                        // this worker must not leak past the pool.
-                        certa_algebra::mask::arena_drain();
-                        out
+                        })
                     })
                 })
                 .collect();

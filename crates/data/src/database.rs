@@ -260,8 +260,16 @@ impl Database {
     /// created, a fresh WAL is opened, and the current contents are
     /// published as the baseline snapshot. Any previous durable state in
     /// `dir` is replaced. From here on every logged mutation appends a
-    /// checksummed WAL frame before the mutator returns; recover the store
-    /// later with [`crate::wal::recover`].
+    /// checksummed WAL frame before the mutator returns (a
+    /// [`Database::relation_mut`] borrow's frame is written at the next
+    /// mutation or sync); recover the store later with
+    /// [`crate::wal::recover`].
+    ///
+    /// Frames are written without fsync. Once a mutator returns, its
+    /// mutation survives a process crash (`kill -9`); it survives power
+    /// loss only once the next [`Database::sync_durable`],
+    /// [`Database::snapshot_durable`] or [`Database::detach_durable`]
+    /// returns.
     ///
     /// # Errors
     ///
@@ -994,7 +1002,9 @@ impl BagDatabase {
         d.append_reset_bag(epoch, name, rel)
     }
 
-    /// Attach crash-safe durability; see [`Database::attach_durable`].
+    /// Attach crash-safe durability; see [`Database::attach_durable`],
+    /// including what survives a process crash and what survives power
+    /// loss.
     ///
     /// # Errors
     ///

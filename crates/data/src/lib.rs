@@ -25,8 +25,8 @@
 //!   assumption (and, with extra facts, under the open-world assumption);
 //! * [`homomorphism`] — homomorphism finding/checking (arbitrary, onto and
 //!   strong-onto), the semantic tool behind naïve-evaluation correctness;
-//! * [`unify`] — linear-time tuple unification, the building block of the
-//!   `⋉⇑` anti-semijoin used by the approximation schemes;
+//! * [`unify`](mod@unify) — linear-time tuple unification, the building
+//!   block of the `⋉⇑` anti-semijoin used by the approximation schemes;
 //! * [`wal`] and [`snapshot`] — crash-safe durability: a checksummed
 //!   write-ahead delta log plus atomic snapshots, recovered via
 //!   [`wal::recover`] / [`wal::recover_bag`].

@@ -30,12 +30,12 @@
 //!
 //! ## Crash injection
 //!
-//! Under the `fault-injection` feature, [`arm_crashes`] installs a seeded
+//! Under the `fault-injection` feature, `arm_crashes` installs a seeded
 //! schedule that deterministically truncates or bit-flips the file mid-write
 //! at the `wal:frame`, `snapshot:tmp` and `snapshot:rename` sites and
 //! poisons the attached log (as if the process died there);
-//! [`arm_crash_site`] targets one site's n-th hit exactly. Production
-//! builds compile the checks away.
+//! `arm_crash_site` targets one site's n-th hit exactly. Production builds
+//! compile the checks away, and both functions with them.
 
 use crate::bag::BagRelation;
 use crate::crc32::crc32;
@@ -684,6 +684,12 @@ impl DurabilityStats {
 /// The durability attachment of a [`Database`] / [`BagDatabase`]: an open
 /// append handle on the WAL plus the bookkeeping that every mutation flows
 /// through before the mutator returns.
+///
+/// Frames are appended with a plain `write_all`, with no fsync: a written
+/// frame survives a process crash (`kill -9`), but survives power loss only
+/// once the owner's [`Database::sync_durable`],
+/// [`Database::snapshot_durable`] or [`Database::detach_durable`] (or the
+/// [`BagDatabase`] equivalent) has returned.
 ///
 /// A poisoned log (injected crash or real I/O error) permanently stops
 /// writing — modelling a dead process, so the on-disk prefix stays exactly

@@ -6,18 +6,18 @@
 //! the columnar mask executor, the morsel pool, the lineage forest, the
 //! optimizer and the pipeline can all share one vocabulary:
 //!
-//! * **Spans** ([`span`], [`SpanGuard`]) — a TLS-ambient call tree, installed
-//!   per request exactly like `certa_algebra::governor`. When no [`Trace`]
-//!   is installed, opening a span is a single thread-local read and a
-//!   branch (the `Span::noop` path); nothing is allocated and nothing is
-//!   recorded, which is what keeps instrumented hot loops within noise of
-//!   the uninstrumented build. Worker threads (the morsel pool, the world
+//! * **Spans** ([`span`](fn@span), [`SpanGuard`]) — a TLS-ambient call
+//!   tree, installed per request exactly like `certa_algebra::governor`.
+//!   When no [`Trace`] is installed, opening a span is a single
+//!   thread-local read and a branch (the `Span::noop` path); nothing is
+//!   allocated and nothing is recorded, which is what keeps instrumented
+//!   hot loops within noise of the uninstrumented build. Worker threads (the morsel pool, the world
 //!   engine) carry the trace across the spawn boundary with an explicit
 //!   [`SpanContext`] handle — [`context`] before spawning, [`attach`]
 //!   inside the worker — so parallel execution nests under the operator
 //!   that launched it.
-//! * **Metrics** ([`metrics`], [`MetricId`], [`HistogramId`]) — a global
-//!   registry of named counters and fixed-bucket histograms backed by
+//! * **Metrics** ([`metrics`](fn@metrics), [`MetricId`], [`HistogramId`]) —
+//!   a global registry of named counters and fixed-bucket histograms backed by
 //!   plain atomics: lock-free on the hot path, snapshot-able between
 //!   requests ([`Registry::snapshot`], [`Snapshot::delta`]). Per-run
 //!   attribution (what one executor did, concurrent siblings excluded)
