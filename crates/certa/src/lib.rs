@@ -61,7 +61,7 @@ pub mod pipeline;
 
 pub use pipeline::{
     Backend, BackendChoice, Explain, ExplainAnalyze, GovernorReport, Label, LabeledAnswers,
-    MaintenanceTotals, OpReport, Pipeline, PipelineError, Scheme, Verdict,
+    OpReport, Pipeline, PipelineError, Scheme, Verdict,
 };
 
 pub use certa_algebra::governor::{CancelToken, ExecBudget, Governor};

@@ -25,7 +25,7 @@
 //!
 //! | scheme | machinery | labels |
 //! |---|---|---|
-//! | [`Scheme::Exact`] | prepared/parallel world enumeration (§3.2) | `Certain`, `Possible`, `CertainlyFalse` |
+//! | [`Scheme::Exact`] | world-mask single pass or lineage diagrams, per instance | `Certain`, `Possible`, `CertainlyFalse` |
 //! | [`Scheme::Approx37`] | `(Q+, Q?)` of Figure 2(b) | `Certain`, `Possible` |
 //! | [`Scheme::Approx51`] | `(Qt, Qf)` of Figure 2(a) | `Certain`, `CertainlyFalse` |
 //! | [`Scheme::CTable`] | conditional tables (§4.2) | `Certain`, `Possible` |
@@ -34,7 +34,7 @@ use certa_algebra::governor::{self, ExecBudget, Governor, GovernorAccounting};
 use certa_algebra::{
     delta_profile, optimize, AlgebraError, DeltaProfile, PreparedQuery, RaExpr, Stats,
 };
-use certa_certain::cert::CandidateStatus;
+use certa_certain::worlds::WorldSpec;
 use certa_certain::{CertainError, MaskBatch, PreparedApproxPair, PreparedTranslationPair};
 use certa_ctables::{eval_conditional, CtError, Strategy};
 use certa_data::{
@@ -44,19 +44,18 @@ use certa_data::{
 use certa_obs::{self as obs, MetricId};
 use certa_sql::lower::LoweredQuery;
 use certa_sql::{lower_to_algebra, parse, SqlError};
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::rc::Rc;
 use std::time::Instant;
 
 /// Which certain-answer machinery evaluates the query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scheme {
-    /// Exact certain answers by prepared/parallel possible-world
-    /// enumeration — exponential in the number of nulls (Theorem 3.12) and
-    /// bounded by the world cap.
+    /// Exact certain answers from the world-mask single pass or lineage
+    /// diagrams, tried per instance in the order [`Pipeline::explain`]
+    /// reports — exponential in the number of nulls in the worst case
+    /// (Theorem 3.12).
     Exact,
     /// The `(Q+, Q?)` approximation of Guagliardo & Libkin (Figure 2(b)):
     /// polynomial, no false positives among `Certain`.
@@ -68,109 +67,141 @@ pub enum Scheme {
     CTable(Strategy),
 }
 
-/// Which machinery decides the [`Scheme::Exact`] labels for an instance.
+/// An exact backend for [`Scheme::Exact`]: one *rung* of the list that
+/// [`Pipeline::execute`] walks for an instance. Per-world enumeration is
+/// not a rung; it stays in `certa-certain` as the differential test oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// Prepared/parallel possible-world enumeration — the last-resort
-    /// oracle: it executes the plan once *per world*, so the dispatcher
-    /// only reaches for it when the mask backend is over the world bound
-    /// and the lineage backend is outside its fragment.
-    WorldEnumeration,
     /// The world-mask single pass: every tuple carries a bitset of the
     /// worlds containing it, so one plan execution answers the whole
     /// valuation space (64 worlds per word operation). Covers the full
     /// operator language — extended operators, `null(·)`/`const(·)`
-    /// predicates, null literals.
+    /// predicates, null literals — up to the world bound.
     Mask,
     /// Symbolic lineage: c-table conditions compiled into decision
     /// diagrams; certainty/possibility/counting read off the canonical
-    /// form without visiting a single world.
+    /// form without visiting a single world, at any world count.
     Lineage,
 }
 
 impl fmt::Display for Backend {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Backend::WorldEnumeration => write!(f, "world enumeration"),
             Backend::Mask => write!(f, "world mask (single pass)"),
             Backend::Lineage => write!(f, "lineage (knowledge compilation)"),
         }
     }
 }
 
-/// World count above which [`Scheme::Exact`] switches from the world-mask
-/// single pass to the lineage backend: up to a few thousand worlds the
+/// World count above which [`Scheme::Exact`] tries the lineage backend
+/// before the world-mask single pass: up to a few thousand worlds the
 /// masked pass (one plan execution, `⌈worlds/64⌉` words per tuple) is
 /// cheaper than compiling diagrams; beyond it the symbolic cost
 /// (polynomial in diagram sizes, independent of the world count) wins.
 /// Queries outside the symbolic fragment come back to the mask backend up
-/// to the world *bound*, and to plain enumeration only past that.
+/// to the world *bound*; past it no exact backend answers them.
 pub const LINEAGE_WORLD_THRESHOLD: usize = 4096;
 
-/// The dispatcher's verdict for one `(query, database)` instance, reported
-/// by [`Pipeline::explain`].
+/// The exact backend that answers one `(query, database)` instance,
+/// reported by [`Pipeline::explain`]: a dry run of the rung walk
+/// [`Pipeline::execute`] takes, probing each rung instead of running it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BackendChoice {
-    /// The backend [`Scheme::Exact`] will use (before any unsupported-
-    /// fragment fallback).
-    pub backend: Backend,
-    /// Why: the inputs of the cost decision, in words.
+    /// The backend that answers [`Scheme::Exact`] when no governor trips:
+    /// the first rung whose fragment covers the query. `None` when the
+    /// query is outside the symbolic fragment and the instance is past the
+    /// world bound; execution then fails with `TooManyWorlds`.
+    pub backend: Option<Backend>,
+    /// Why: the rung order and its inputs, in words, plus the fragment
+    /// boundary when the walk crossed one.
     pub reason: String,
     /// Distinct marked nulls in the instance.
     pub nulls: usize,
     /// Size of the exact constant pool (each null's domain).
     pub pool: usize,
-    /// Possible worlds an enumeration would visit (`pool^nulls`,
-    /// saturating at `usize::MAX`).
+    /// Possible worlds of the instance (`pool^nulls`, saturating at
+    /// `usize::MAX`).
     pub worlds: usize,
-    /// Total diagram nodes after compiling the instance's lineage — only
-    /// measured by [`Pipeline::explain`], and only when the lineage
-    /// backend is selected and supports the query.
+    /// Total diagram nodes after compiling the instance's lineage — set
+    /// when the lineage rung answers the dry run.
     pub diagram_nodes: Option<usize>,
     /// Mask-backend statistics (world count, blocks per mask, distinct
-    /// masks seen) — only measured by [`Pipeline::explain`], and only when
-    /// the mask backend is selected.
+    /// masks seen) — set when the mask rung answers the dry run.
     pub mask_stats: Option<certa_certain::MaskStats>,
 }
 
-fn choose_exact_backend(spec: &certa_certain::WorldSpec, db: &Database) -> BackendChoice {
-    let nulls = db.nulls().len();
-    let pool = spec.pool().len();
+/// The exact rungs for one instance, in the order the walk tries them, and
+/// why. Up to the mask threshold the masked pass comes first and lineage
+/// backs it up; up to the world bound lineage comes first and the masked
+/// pass covers what lineage cannot express; past the bound only lineage
+/// can answer.
+fn rungs(spec: &WorldSpec, db: &Database) -> (&'static [Backend], String) {
     let worlds = spec.world_count(db);
-    let (backend, reason) = if worlds <= LINEAGE_WORLD_THRESHOLD {
+    let shown = match worlds {
+        usize::MAX => "≥ usize::MAX".to_string(),
+        n => n.to_string(),
+    };
+    let instance = format!(
+        "{shown} world(s) ({} null(s) over a {}-constant pool)",
+        db.nulls().len(),
+        spec.pool().len()
+    );
+    let (rungs, plan): (&'static [Backend], _) = if worlds <= LINEAGE_WORLD_THRESHOLD {
+        let blocks = worlds.div_ceil(64);
         (
-            Backend::Mask,
+            &[Backend::Mask, Backend::Lineage],
             format!(
-                "{worlds} world(s) ({nulls} null(s) over a {pool}-constant pool) \
-                 is within the mask threshold of {LINEAGE_WORLD_THRESHOLD}: one \
-                 masked pass decides all worlds at {} block(s) per tuple",
-                worlds.div_ceil(64)
+                "is within the mask threshold of {LINEAGE_WORLD_THRESHOLD}: one masked \
+                 pass decides all worlds at {blocks} block(s) per tuple"
+            ),
+        )
+    } else if worlds <= spec.bound() {
+        (
+            &[Backend::Lineage, Backend::Mask],
+            format!(
+                "exceeds the mask threshold of {LINEAGE_WORLD_THRESHOLD}; compiling \
+                 lineage diagrams instead"
             ),
         )
     } else {
-        let worlds_txt = if worlds == usize::MAX {
-            "≥ usize::MAX worlds".to_string()
-        } else {
-            format!("{worlds} worlds")
-        };
         (
-            Backend::Lineage,
+            &[Backend::Lineage],
             format!(
-                "{worlds_txt} ({nulls} null(s) over a {pool}-constant pool) \
-                 exceeds the mask threshold of {LINEAGE_WORLD_THRESHOLD}; \
-                 compiling lineage diagrams instead"
+                "exceeds the mask threshold of {LINEAGE_WORLD_THRESHOLD} and the world \
+                 bound of {}; compiling lineage diagrams, the only exact backend past it",
+                spec.bound()
             ),
         )
     };
-    BackendChoice {
-        backend,
-        reason,
-        nulls,
-        pool,
-        worlds,
-        diagram_nodes: None,
-        mask_stats: None,
+    (rungs, format!("{instance} {plan}"))
+}
+
+/// Try `rungs` in order under one set of rules: a fragment boundary moves
+/// to the next rung under the same budget, a governor trip moves to the
+/// next rung under [`Governor::for_fallback`], and any other error
+/// surfaces. Returns the first rung that answers with its answer; the last
+/// trip when the rungs run out after one; `None` when they run out without
+/// one.
+fn walk<T>(
+    rungs: &[Backend],
+    mut attempt: impl FnMut(Backend) -> Result<T>,
+) -> Result<Option<(Backend, T)>> {
+    let mut trip = None;
+    for &backend in rungs {
+        let outcome = if trip.is_none() {
+            attempt(backend)
+        } else {
+            under_fallback_governor(|| attempt(backend))
+        };
+        match outcome {
+            Ok(answer) => return Ok(Some((backend, answer))),
+            // A fragment boundary: the backend cannot express the query.
+            Err(PipelineError::Certain(CertainError::Lineage(e))) if e.is_unsupported() => {}
+            Err(e) if e.governor_trip().is_some() => trip = Some(e),
+            Err(e) => return Err(e),
+        }
     }
+    trip.map_or(Ok(None), Err)
 }
 
 /// The certainty label attached to an answer tuple.
@@ -310,6 +341,7 @@ impl PipelineError {
         match self {
             PipelineError::Algebra(e) => e.governor_trip(),
             PipelineError::Certain(e) => e.governor_trip(),
+            PipelineError::CTable(e) => e.governor_trip(),
             _ => None,
         }
     }
@@ -370,6 +402,39 @@ struct CacheEntry {
     last_used: u64,
 }
 
+impl CacheEntry {
+    /// The `(Q+, Q?)` rows on `db`, compiling the pair on first use:
+    /// [`Scheme::Approx37`]'s answers, and what [`degrade`] serves.
+    fn approx37_rows(&mut self, db: &Database) -> Result<Vec<(Tuple, Label)>> {
+        let pair = match &mut self.approx37 {
+            Some(pair) => pair,
+            slot @ None => slot.insert(
+                certa_certain::approx37::translate(&self.lowered.expr, &self.schema)?
+                    .prepare(&self.schema)?,
+            ),
+        };
+        let (plus, question) = pair.eval(db)?;
+        Ok(labeled(&plus, &question, Label::Possible))
+    }
+}
+
+/// Rows for a scheme that computes a certain relation and one other:
+/// `certain` labeled [`Label::Certain`], then the rest of `other` labeled
+/// `label`.
+fn labeled(certain: &Relation, other: &Relation, label: Label) -> Vec<(Tuple, Label)> {
+    let mut rows: Vec<(Tuple, Label)> = certain
+        .iter()
+        .map(|t| (t.clone(), Label::Certain))
+        .collect();
+    rows.extend(
+        other
+            .iter()
+            .filter(|t| !certain.contains(t))
+            .map(|t| (t.clone(), label)),
+    );
+    rows
+}
+
 /// The cached exact answers of one `(query, database-instance)` pair at a
 /// specific epoch.
 struct ExactState {
@@ -380,8 +445,8 @@ struct ExactState {
     epoch: u64,
     answers: LabeledAnswers,
     /// The incremental-maintenance half, present only on the mask backend
-    /// (lineage/enumeration answers can be served at an unchanged epoch but
-    /// never refined).
+    /// (lineage answers can be served at an unchanged epoch but never
+    /// refined).
     mask: Option<MaskState>,
 }
 
@@ -427,6 +492,49 @@ pub struct MaintenanceCounters {
     pub recomputed: usize,
 }
 
+impl MaintenanceCounters {
+    fn absorb(&mut self, other: MaintenanceCounters) {
+        self.served += other.served;
+        self.refined += other.refined;
+        self.delta_merged += other.delta_merged;
+        self.recomputed += other.recomputed;
+    }
+}
+
+/// One answer-cache decision taken, as [`tally`] counts it.
+enum Tally {
+    Served,
+    Refined { merges: usize },
+    Recomputed,
+}
+
+/// The one site that counts an answer-cache decision: in the entry's
+/// counters, in the registry's `cache.answers_*` counters, and as a trace
+/// instant.
+fn tally(counters: &mut MaintenanceCounters, event: Tally) {
+    let registry = obs::metrics();
+    let instant = match event {
+        Tally::Served => {
+            counters.served += 1;
+            registry.add(MetricId::AnswersServed, 1);
+            "maintain:serve"
+        }
+        Tally::Refined { merges } => {
+            counters.refined += 1;
+            counters.delta_merged += merges;
+            registry.add(MetricId::AnswersRefined, 1);
+            registry.add(MetricId::AnswersDeltaMerged, merges as u64);
+            "maintain:refine"
+        }
+        Tally::Recomputed => {
+            counters.recomputed += 1;
+            registry.add(MetricId::AnswersRecomputed, 1);
+            "maintain:recompute"
+        }
+    };
+    obs::instant(instant);
+}
+
 /// What the answer cache will do with a request at the database's current
 /// state — the **decision lattice** (documented in ARCHITECTURE.md):
 /// serve ⊐ refine ⊐ recompute, taking the cheapest sound option.
@@ -448,9 +556,12 @@ enum MaintenanceDecision {
 /// sound way to answer at the current epoch. Pure — shared by
 /// [`Pipeline::execute`] (which acts on it) and [`Pipeline::explain`]
 /// (which reports it).
-fn decide(state: &ExactState, db: &Database) -> MaintenanceDecision {
+fn decide(state: Option<&ExactState>, db: &Database) -> MaintenanceDecision {
     let recompute = |reason: &str| MaintenanceDecision::Recompute {
         reason: reason.to_string(),
+    };
+    let Some(state) = state else {
+        return recompute("no cached answers for this instance");
     };
     if state.instance != db.instance() {
         return recompute("answers belong to a different database instance");
@@ -581,22 +692,23 @@ fn isolated<T>(f: impl FnOnce() -> Result<T>) -> Result<T> {
     }
 }
 
-/// Run a lower lattice rung under the fallback governor: the request's
-/// deadline and cancel token stay armed, but the resource-shape budgets the
-/// abandoned rung exhausted are lifted — otherwise every fallback would
-/// re-trip at its first checkpoint and the lattice could never degrade
-/// gracefully.
+/// Run the next rung after a trip under the fallback governor: the
+/// request's deadline and cancel token stay armed, but the resource-shape
+/// budgets the abandoned rung exhausted are lifted — otherwise every
+/// fallback would re-trip at its first checkpoint and the request could
+/// never degrade gracefully.
 fn under_fallback_governor<T>(f: impl FnOnce() -> T) -> T {
     let fallback = governor::current().map(|g| g.for_fallback());
     let _guard = governor::install(fallback);
     f()
 }
 
-/// Fall off the bottom of the exact lattice after `trip`: serve the sound
-/// `(Q+, Q?)` approximation under whatever budget remains
-/// ([`Verdict::Degraded`]), or refuse with the full diagnosis when even
-/// that trips or does not cover the query ([`Verdict::Refused`]). Never
-/// caches: only exact answers enter the answer cache.
+/// Fall below the exact rungs after `trip`: serve the sound `(Q+, Q?)`
+/// approximation under whatever budget remains ([`Verdict::Degraded`]), or
+/// refuse with the full diagnosis when even that trips or does not cover
+/// the query ([`Verdict::Refused`]). An error that is not a governor trip
+/// surfaces unchanged. Never caches: only exact answers enter the answer
+/// cache.
 fn degrade(
     entry: &mut CacheEntry,
     db: &Database,
@@ -610,49 +722,185 @@ fn degrade(
     if degrade_span.is_recording() {
         degrade_span.detail(trip.to_string());
     }
-    let attempt: Result<Vec<(Tuple, Label)>> = under_fallback_governor(|| {
-        isolated(|| {
-            if entry.approx37.is_none() {
-                let pair = certa_certain::approx37::translate(&entry.lowered.expr, &entry.schema)?;
-                entry.approx37 = Some(pair.prepare(&entry.schema)?);
-            }
-            let pair = entry.approx37.as_ref().ok_or_else(|| {
-                PipelineError::Internal(
-                    "the (Q+, Q?) pair vanished between compilation and use".to_string(),
-                )
-            })?;
-            let (plus, question) = pair.eval(db)?;
-            let mut rows: Vec<(Tuple, Label)> =
-                plus.iter().map(|t| (t.clone(), Label::Certain)).collect();
-            rows.extend(
-                question
-                    .iter()
-                    .filter(|t| !plus.contains(t))
-                    .map(|t| (t.clone(), Label::Possible)),
-            );
-            Ok(rows)
-        })
-    });
-    match attempt {
-        Ok(rows) => Ok(LabeledAnswers {
-            columns,
+    let (rows, verdict) = match under_fallback_governor(|| isolated(|| entry.approx37_rows(db))) {
+        Ok(rows) => (
             rows,
-            verdict: Verdict::Degraded(format!(
+            Verdict::Degraded(format!(
                 "exact backends refused ({trip}); serving the (Q+, Q?) approximation"
             )),
-        }),
+        ),
         Err(e) => {
             let detail = match e.governor_trip() {
                 Some(also) => format!("the (Q+, Q?) approximation refused too ({also})"),
                 None => format!("the (Q+, Q?) approximation is unavailable ({e})"),
             };
-            Ok(LabeledAnswers {
-                columns,
-                rows: Vec::new(),
-                verdict: Verdict::Refused(format!("exact backends refused ({trip}); {detail}")),
-            })
+            (
+                Vec::new(),
+                Verdict::Refused(format!("exact backends refused ({trip}); {detail}")),
+            )
         }
+    };
+    Ok(LabeledAnswers {
+        columns,
+        rows,
+        verdict,
+    })
+}
+
+/// Answer a [`Scheme::Exact`] request by labeling every naïve candidate
+/// certain, possible, or certainly false (for the generic fragment,
+/// cert⊥ ⊆ Qⁿᵃⁱᵛᵉ). The epoch-aware **answer cache** serves the cached
+/// labels at an unchanged `(instance, epoch)`, and refines the cached
+/// masks in place when the deltas since the cached epoch allow it
+/// ([`decide`]). Anything else recomputes: [`walk`] runs the instance's
+/// [`rungs`], each panic-isolated, and a trip that leaves no rung
+/// [`degrade`]s.
+fn execute_exact(
+    entry: &mut CacheEntry,
+    db: &Database,
+    columns: Vec<String>,
+) -> Result<LabeledAnswers> {
+    match decide(entry.exact.as_ref(), db) {
+        MaintenanceDecision::Serve => {
+            if let Some(state) = entry.exact.as_mut() {
+                tally(&mut entry.counters, Tally::Served);
+                state.epoch = db.epoch();
+                return Ok(state.answers.clone());
+            }
+        }
+        MaintenanceDecision::Refine { resolves, inserts } => {
+            let refined: Result<LabeledAnswers> = (|| {
+                let internal = |m: &str| PipelineError::Internal(m.to_string());
+                let state = entry
+                    .exact
+                    .as_mut()
+                    .ok_or_else(|| internal("refine decision without cached state"))?;
+                let mask = state
+                    .mask
+                    .as_mut()
+                    .ok_or_else(|| internal("refine decision without mask state"))?;
+                for (null, value) in &resolves {
+                    if !mask.batch.restrict(*null, value) {
+                        return Err(internal(
+                            "restriction preconditions changed between decide and apply",
+                        ));
+                    }
+                }
+                for (relation, tuples) in &inserts {
+                    mask.batch
+                        .apply_insert_delta(&mask.prepared, db, relation, tuples)
+                        .map_err(PipelineError::Certain)?;
+                }
+                // Candidates are NOT stable under updates (a resolution can
+                // create one, e.g. σ_{a=42}(R) over R = {⊥} after ⊥ := 42):
+                // always re-derive them on the current database.
+                let candidates = certa_algebra::naive_eval(&entry.lowered.expr, db)?;
+                let tuples: Vec<Tuple> = candidates.iter().cloned().collect();
+                let statuses = mask.batch.classify(&tuples)?;
+                let answers = LabeledAnswers {
+                    columns: columns.clone(),
+                    rows: label_rows(tuples, &statuses),
+                    verdict: Verdict::Exact,
+                };
+                state.answers = answers.clone();
+                state.epoch = db.epoch();
+                Ok(answers)
+            })();
+            match refined {
+                Ok(answers) => {
+                    let merges = inserts.len();
+                    tally(&mut entry.counters, Tally::Refined { merges });
+                    return Ok(answers);
+                }
+                Err(e) => {
+                    // The cached masks may be partially mutated: drop them
+                    // rather than serve from them — the next read
+                    // recomputes from scratch.
+                    entry.exact = None;
+                    if e.governor_trip().is_none() {
+                        return Err(e);
+                    }
+                    // A governor trip mid-refine rolls back (the cache is
+                    // already dropped) and falls through to the recompute
+                    // path, under whatever budget remains.
+                }
+            }
+        }
+        MaintenanceDecision::Recompute { .. } => {}
     }
+    tally(&mut entry.counters, Tally::Recomputed);
+    entry.exact = None;
+    let spec = certa_certain::worlds::exact_pool(&entry.lowered.expr, db);
+    let (rungs, _) = rungs(&spec, db);
+    obs::metrics().add(
+        match rungs[0] {
+            Backend::Mask => MetricId::DispatchMask,
+            Backend::Lineage => MetricId::DispatchLineage,
+        },
+        1,
+    );
+    // Candidate derivation is governed too: a trip here degrades like a
+    // trip on the last rung.
+    let candidates = match isolated(|| Ok(certa_algebra::naive_eval(&entry.lowered.expr, db)?)) {
+        Ok(candidates) => candidates,
+        Err(e) => return degrade(entry, db, columns, e),
+    };
+    let tuples: Vec<Tuple> = candidates.iter().cloned().collect();
+    let run = |backend| {
+        isolated(|| match backend {
+            Backend::Mask => {
+                let _sp = obs::span("backend:mask");
+                // Instance-dependent pieces are re-derived here, per
+                // `(instance, epoch)`: the instance plan, and its delta
+                // profile for the answer cache's refine decisions.
+                let prepared = mask_plan(&entry.lowered.expr, db)?;
+                let batch = MaskBatch::from_prepared(&prepared, db, &spec)?;
+                let statuses = batch.classify(&tuples)?;
+                let profile = delta_profile(prepared.plan());
+                let state = MaskState {
+                    spec: spec.clone(),
+                    prepared,
+                    profile,
+                    batch,
+                };
+                Ok((statuses, Some(state)))
+            }
+            Backend::Lineage => {
+                let _sp = obs::span("backend:lineage");
+                let statuses = certa_certain::cert::classify_candidates_lineage(
+                    &entry.optimized,
+                    db,
+                    &spec,
+                    &tuples,
+                )?;
+                Ok((statuses, None))
+            }
+        })
+    };
+    let (statuses, mask) = match walk(rungs, run) {
+        Ok(Some((_, answer))) => answer,
+        // Without a trip the rungs run out only past the world bound, where
+        // lineage is the only rung and the query is outside its fragment.
+        Ok(None) => {
+            let (worlds, bound) = (spec.world_count(db), spec.bound());
+            return Err(CertainError::TooManyWorlds { worlds, bound }.into());
+        }
+        Err(e) => return degrade(entry, db, columns, e),
+    };
+    let answers = LabeledAnswers {
+        columns,
+        rows: label_rows(tuples, &statuses),
+        verdict: Verdict::Exact,
+    };
+    // Only full-fidelity answers are cached: a degraded or refused result
+    // must never be served — let alone refined — later as if it were exact.
+    entry.exact = Some(ExactState {
+        instance: db.instance(),
+        epoch: db.epoch(),
+        answers: answers.clone(),
+        mask,
+    });
+    Ok(answers)
 }
 
 /// The compile-once certain-answer pipeline (see the module docs).
@@ -674,37 +922,10 @@ pub struct Pipeline {
     budget: Option<ExecBudget>,
     /// Accounting of the most recent governed execution.
     last_run: Option<GovernorReport>,
-    /// Pipeline-lifetime maintenance counters. Unlike the per-entry
-    /// [`MaintenanceCounters`], these survive LRU eviction, so operators
-    /// can trend served/refined/recomputed across requests. Shared via
-    /// `Rc<Cell<..>>` so decision sites can bump them while a cache entry
-    /// is mutably borrowed.
-    lifetime: Rc<LifetimeCells>,
-}
-
-#[derive(Debug, Default)]
-struct LifetimeCells {
-    served: Cell<u64>,
-    refined: Cell<u64>,
-    delta_merged: Cell<u64>,
-    recomputed: Cell<u64>,
-}
-
-/// Pipeline-lifetime cumulative maintenance totals (never reset by LRU
-/// eviction), reported by [`Pipeline::maintenance_totals`] and
-/// [`Pipeline::explain`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MaintenanceTotals {
-    /// Answers served straight from a cache entry, across all entries ever.
-    pub served: u64,
-    /// In-place refinements, across all entries ever.
-    pub refined: u64,
-    /// Insert-delta merges performed during refinements.
-    pub delta_merged: u64,
-    /// Full recomputations, across all entries ever.
-    pub recomputed: u64,
-    /// Plans (with their cached answers and per-entry counters) evicted.
-    pub evicted: u64,
+    /// The counters of entries evicted or replaced on a schema change; with
+    /// the live entries' counters they make up
+    /// [`Pipeline::maintenance_totals`].
+    retired: MaintenanceCounters,
 }
 
 impl Default for Pipeline {
@@ -718,7 +939,7 @@ impl Default for Pipeline {
             tick: 0,
             budget: None,
             last_run: None,
-            lifetime: Rc::new(LifetimeCells::default()),
+            retired: MaintenanceCounters::default(),
         }
     }
 }
@@ -790,17 +1011,15 @@ impl Pipeline {
         self.evictions
     }
 
-    /// Pipeline-lifetime cumulative maintenance totals: unlike the
-    /// per-entry counters in [`Explain::maintenance`], these survive LRU
-    /// eviction of the entries that produced them.
-    pub fn maintenance_totals(&self) -> MaintenanceTotals {
-        MaintenanceTotals {
-            served: self.lifetime.served.get(),
-            refined: self.lifetime.refined.get(),
-            delta_merged: self.lifetime.delta_merged.get(),
-            recomputed: self.lifetime.recomputed.get(),
-            evicted: self.evictions as u64,
+    /// Pipeline-lifetime maintenance totals: the counters of every entry
+    /// ever cached, live or since evicted, so unlike the per-entry counters
+    /// in [`Explain::maintenance`] they survive LRU eviction.
+    pub fn maintenance_totals(&self) -> MaintenanceCounters {
+        let mut totals = self.retired;
+        for entry in self.cache.values() {
+            totals.absorb(entry.counters);
         }
+        totals
     }
 
     /// The plan cache's capacity.
@@ -843,8 +1062,8 @@ impl Pipeline {
             .iter()
             .min_by_key(|(_, e)| e.last_used)
             .map(|(k, _)| k.clone());
-        if let Some(key) = oldest {
-            self.cache.remove(&key);
+        if let Some(evicted) = oldest.and_then(|key| self.cache.remove(&key)) {
+            self.retired.absorb(evicted.counters);
             self.evictions += 1;
             obs::metrics().add(MetricId::CacheEvictions, 1);
             obs::instant("plan_cache:evict");
@@ -878,7 +1097,7 @@ impl Pipeline {
             while self.cache.len() >= self.capacity && !self.cache.contains_key(sql) {
                 self.evict_lru();
             }
-            self.cache.insert(
+            let replaced = self.cache.insert(
                 sql.to_string(),
                 CacheEntry {
                     schema: schema.clone(),
@@ -892,6 +1111,9 @@ impl Pipeline {
                     last_used: 0,
                 },
             );
+            if let Some(replaced) = replaced {
+                self.retired.absorb(replaced.counters);
+            }
         }
         self.tick += 1;
         let tick = self.tick;
@@ -919,20 +1141,29 @@ impl Pipeline {
     /// Execute `sql` on `db` under the given certainty scheme, returning
     /// labeled answers.
     ///
+    /// [`Scheme::Exact`] first asks the answer cache to serve or refine.
+    /// Otherwise it recomputes by walking the instance's exact rungs, in
+    /// the order [`Pipeline::explain`] reports: the world-mask pass first
+    /// up to [`LINEAGE_WORLD_THRESHOLD`] worlds, lineage first beyond it,
+    /// and lineage alone past the world bound. A rung outside its fragment
+    /// passes to the next under the same budget; a governor trip passes to
+    /// the next under [`Governor::for_fallback`]; any other error surfaces.
+    ///
     /// When a budget is configured ([`Pipeline::set_budget`]) a fresh
-    /// [`Governor`] is armed around the execution and a trip — deadline,
+    /// [`Governor`] is armed around the execution. A trip — deadline,
     /// budget exhaustion, cancellation, injected fault, or an isolated
-    /// worker panic — degrades down the backend lattice instead of
-    /// erroring: the result is then [`Verdict::Degraded`] or
-    /// [`Verdict::Refused`], never a wrong answer and never a poisoned
-    /// cache entry (a cancelled refine rolls the cache back to
-    /// recompute-on-next-read).
+    /// worker panic — that leaves no exact rung serves the `(Q+, Q?)`
+    /// approximation instead of erroring: the result is then
+    /// [`Verdict::Degraded`] or [`Verdict::Refused`], never a wrong answer
+    /// and never a poisoned cache entry (a cancelled refine rolls the cache
+    /// back to recompute-on-next-read).
     ///
     /// # Errors
     ///
     /// Returns an error for malformed SQL, ill-formed lowered queries,
-    /// over-bound exact enumerations, or operators outside a scheme's
-    /// fragment (e.g. the `⋉⇑` of a lowered `NOT IN` under
+    /// [`CertainError::TooManyWorlds`] for an exact request outside the
+    /// symbolic fragment and past the world bound, or operators outside a
+    /// scheme's fragment (e.g. the `⋉⇑` of a lowered `NOT IN` under
     /// [`Scheme::CTable`]). Governor trips are **not** errors: they come
     /// back as `Ok` with a non-exact [`Verdict`].
     pub fn execute(&mut self, sql: &str, db: &Database, scheme: Scheme) -> Result<LabeledAnswers> {
@@ -961,44 +1192,37 @@ impl Pipeline {
             certa_obs::HistogramId::RequestMicros,
             started.elapsed().as_micros() as u64,
         );
-        match &out {
-            Ok(answers) => {
-                let (id, name) = match &answers.verdict {
-                    Verdict::Exact => (MetricId::VerdictExact, "verdict:exact"),
-                    Verdict::Degraded(_) => (MetricId::VerdictDegraded, "verdict:degraded"),
-                    Verdict::Refused(_) => (MetricId::VerdictRefused, "verdict:refused"),
-                };
-                obs::metrics().add(id, 1);
-                if request_span.is_recording() {
-                    obs::instant(name);
-                }
-            }
-            Err(e) => {
-                if e.governor_trip().is_some() {
-                    obs::metrics().add(MetricId::GovernorTrips, 1);
-                    obs::metrics().add(MetricId::VerdictRefused, 1);
-                }
-            }
-        }
-        match out {
+        let answers = match out {
+            Ok(answers) => answers,
+            // A trip that escaped the exact rungs (or hit a scheme with no
+            // rungs below it): refuse with the diagnosis rather than
+            // surface a transient resource condition as a query error.
             Err(e) => match e.governor_trip() {
-                // A trip that escaped the Exact lattice (or hit a scheme
-                // with no lattice below it): refuse with the diagnosis
-                // rather than surface a transient resource condition as a
-                // query error.
-                Some(trip) => Ok(LabeledAnswers {
-                    columns: self
-                        .cache
-                        .get(sql)
-                        .map(|entry| entry.lowered.columns.clone())
-                        .unwrap_or_default(),
-                    rows: Vec::new(),
-                    verdict: Verdict::Refused(trip.to_string()),
-                }),
-                None => Err(e),
+                Some(trip) => {
+                    obs::metrics().add(MetricId::GovernorTrips, 1);
+                    LabeledAnswers {
+                        columns: self
+                            .cache
+                            .get(sql)
+                            .map(|entry| entry.lowered.columns.clone())
+                            .unwrap_or_default(),
+                        rows: Vec::new(),
+                        verdict: Verdict::Refused(trip.to_string()),
+                    }
+                }
+                None => return Err(e),
             },
-            ok => ok,
+        };
+        let (id, name) = match &answers.verdict {
+            Verdict::Exact => (MetricId::VerdictExact, "verdict:exact"),
+            Verdict::Degraded(_) => (MetricId::VerdictDegraded, "verdict:degraded"),
+            Verdict::Refused(_) => (MetricId::VerdictRefused, "verdict:refused"),
+        };
+        obs::metrics().add(id, 1);
+        if request_span.is_recording() {
+            obs::instant(name);
         }
+        Ok(answers)
     }
 
     fn execute_governed(
@@ -1007,9 +1231,6 @@ impl Pipeline {
         db: &Database,
         scheme: Scheme,
     ) -> Result<LabeledAnswers> {
-        // Cloned before the cache entry is mutably borrowed: decision sites
-        // below bump the pipeline-lifetime counters through this handle.
-        let lifetime = Rc::clone(&self.lifetime);
         let entry = self.entry(sql, db.schema())?;
         let columns = entry.lowered.columns.clone();
         // Honor cancellation (and an already-spent deadline) at request
@@ -1018,333 +1239,25 @@ impl Pipeline {
         // computed or served: a cancelled request refuses outright, even
         // when the answer could come straight from the cache.
         governor::checkpoint().map_err(|g| PipelineError::Certain(CertainError::Governor(g)))?;
-        let (certain, second) = match scheme {
-            Scheme::Exact => {
-                // One pass classifies every naïve candidate as certain,
-                // possible, or certainly false. (Candidates outside the
-                // naïve evaluation are not enumerated; for the generic
-                // fragment, cert⊥ ⊆ Qⁿᵃⁱᵛᵉ.)
-                //
-                // Requests first consult the epoch-aware **answer cache**:
-                // at an unchanged `(instance, epoch)` the cached labels are
-                // served outright; when the delta log since the cached
-                // epoch is refinable — null resolutions inside the cached
-                // world space, inserts a monotone/linear plan can replay —
-                // the cached masks are *refined* in place (restriction +
-                // delta merge) and only the candidates are re-derived;
-                // anything else recomputes from scratch.
-                //
-                // On recomputation the backend is picked per instance by
-                // cost: up to the mask threshold, one **world-mask pass**
-                // through an instance-statistics-optimized plan decides
-                // every world at once; beyond the threshold the symbolic
-                // lineage backend evaluates the cached optimized expression
-                // over c-tables and reads the three labels off the
-                // canonical diagrams. Queries outside the symbolic fragment
-                // come back to the mask backend as long as the world count
-                // fits the bound; the per-world enumeration oracle is the
-                // last resort (and may then legitimately hit the world
-                // bound).
-                let decision = match &entry.exact {
-                    Some(state) => decide(state, db),
-                    None => MaintenanceDecision::Recompute {
-                        reason: "no cached answers for this instance".to_string(),
-                    },
-                };
-                match decision {
-                    MaintenanceDecision::Serve => {
-                        if let Some(state) = entry.exact.as_mut() {
-                            entry.counters.served += 1;
-                            lifetime.served.set(lifetime.served.get() + 1);
-                            obs::metrics().add(MetricId::AnswersServed, 1);
-                            obs::instant("maintain:serve");
-                            state.epoch = db.epoch();
-                            return Ok(state.answers.clone());
-                        }
-                    }
-                    MaintenanceDecision::Refine { resolves, inserts } => {
-                        let merges = inserts.len();
-                        let refined: Result<LabeledAnswers> = (|| {
-                            let internal = |m: &str| PipelineError::Internal(m.to_string());
-                            let state = entry
-                                .exact
-                                .as_mut()
-                                .ok_or_else(|| internal("refine decision without cached state"))?;
-                            let mask = state
-                                .mask
-                                .as_mut()
-                                .ok_or_else(|| internal("refine decision without mask state"))?;
-                            for (null, value) in &resolves {
-                                if !mask.batch.restrict(*null, value) {
-                                    return Err(internal(
-                                        "restriction preconditions changed between decide and apply",
-                                    ));
-                                }
-                            }
-                            for (relation, tuples) in &inserts {
-                                mask.batch
-                                    .apply_insert_delta(&mask.prepared, db, relation, tuples)
-                                    .map_err(PipelineError::Certain)?;
-                            }
-                            // Candidates are NOT stable under updates (a
-                            // resolution can create one, e.g. σ_{a=42}(R)
-                            // over R = {⊥} after ⊥ := 42): always re-derive
-                            // them on the current database.
-                            let candidates = certa_algebra::naive_eval(&entry.lowered.expr, db)?;
-                            let tuples: Vec<Tuple> = candidates.iter().cloned().collect();
-                            let statuses = mask.batch.classify(&tuples)?;
-                            let answers = LabeledAnswers {
-                                columns: columns.clone(),
-                                rows: label_rows(tuples, &statuses),
-                                verdict: Verdict::Exact,
-                            };
-                            state.answers = answers.clone();
-                            state.epoch = db.epoch();
-                            Ok(answers)
-                        })();
-                        match refined {
-                            Ok(answers) => {
-                                entry.counters.refined += 1;
-                                entry.counters.delta_merged += merges;
-                                lifetime.refined.set(lifetime.refined.get() + 1);
-                                lifetime
-                                    .delta_merged
-                                    .set(lifetime.delta_merged.get() + merges as u64);
-                                obs::metrics().add(MetricId::AnswersRefined, 1);
-                                obs::metrics().add(MetricId::AnswersDeltaMerged, merges as u64);
-                                obs::instant("maintain:refine");
-                                return Ok(answers);
-                            }
-                            Err(e) => {
-                                // The cached masks may be partially mutated:
-                                // drop them rather than serve from them — the
-                                // next read recomputes from scratch.
-                                entry.exact = None;
-                                if e.governor_trip().is_none() {
-                                    return Err(e);
-                                }
-                                // A governor trip mid-refine rolls back (the
-                                // cache is already dropped) and falls through
-                                // to the recompute path, which degrades down
-                                // the lattice under whatever budget remains.
-                            }
-                        }
-                    }
-                    MaintenanceDecision::Recompute { .. } => {}
-                }
-                entry.counters.recomputed += 1;
-                lifetime.recomputed.set(lifetime.recomputed.get() + 1);
-                obs::metrics().add(MetricId::AnswersRecomputed, 1);
-                obs::instant("maintain:recompute");
-                entry.exact = None;
-                let spec = certa_certain::worlds::exact_pool(&entry.lowered.expr, db);
-                let choice = choose_exact_backend(&spec, db);
-                obs::metrics().add(
-                    match choice.backend {
-                        Backend::Mask => MetricId::DispatchMask,
-                        Backend::Lineage => MetricId::DispatchLineage,
-                        Backend::WorldEnumeration => MetricId::DispatchEnum,
-                    },
-                    1,
-                );
-                // Candidate derivation is governed too: a trip here — or in
-                // any exact backend below — falls down the degradation
-                // lattice instead of surfacing as an error.
-                let candidates =
-                    match isolated(|| Ok(certa_algebra::naive_eval(&entry.lowered.expr, db)?)) {
-                        Ok(candidates) => candidates,
-                        Err(e) => return degrade(entry, db, columns, e),
-                    };
-                let tuples: Vec<Tuple> = candidates.iter().cloned().collect();
-                let mut mask_state: Option<MaskState> = None;
-                // The three exact backends, each panic-isolated: a trip in
-                // one rung falls to the next exact rung that can still cover
-                // the instance, and only below the exact rungs to the
-                // approximation (`degrade`).
-                let try_mask = |entry: &CacheEntry| -> Result<(Vec<CandidateStatus>, MaskState)> {
-                    isolated(|| {
-                        let _sp = obs::span("backend:mask");
-                        // Instance-dependent pieces are re-derived here, per
-                        // `(instance, epoch)`: the instance plan, and its
-                        // delta profile for the answer cache's refine
-                        // decisions.
-                        let prepared = mask_plan(&entry.lowered.expr, db)?;
-                        let batch = MaskBatch::from_prepared(&prepared, db, &spec)?;
-                        let statuses = batch.classify(&tuples)?;
-                        let profile = delta_profile(prepared.plan());
-                        let state = MaskState {
-                            spec: spec.clone(),
-                            prepared,
-                            profile,
-                            batch,
-                        };
-                        Ok((statuses, state))
-                    })
-                };
-                let try_lineage = |entry: &CacheEntry| -> Result<Vec<CandidateStatus>> {
-                    isolated(|| {
-                        let _sp = obs::span("backend:lineage");
-                        Ok(certa_certain::cert::classify_candidates_lineage(
-                            &entry.optimized,
-                            db,
-                            &spec,
-                            &tuples,
-                        )?)
-                    })
-                };
-                let try_enum = |entry: &CacheEntry| -> Result<Vec<CandidateStatus>> {
-                    isolated(|| {
-                        let _sp = obs::span("backend:enum");
-                        Ok(certa_certain::cert::classify_candidates(
-                            &entry.plain,
-                            db,
-                            &spec,
-                            &tuples,
-                        )?)
-                    })
-                };
-                let statuses = match choice.backend {
-                    Backend::Lineage => match try_lineage(entry) {
-                        Ok(statuses) => statuses,
-                        Err(PipelineError::Certain(CertainError::Lineage(e)))
-                            if e.is_unsupported() =>
-                        {
-                            // Fragment boundary (not a resource trip): the
-                            // mask pass answers within the world bound, the
-                            // enumeration oracle past it — both still exact.
-                            if spec.check(db).is_ok() {
-                                match try_mask(entry) {
-                                    Ok((statuses, state)) => {
-                                        mask_state = Some(state);
-                                        statuses
-                                    }
-                                    Err(e) if e.governor_trip().is_some() => {
-                                        return degrade(entry, db, columns, e)
-                                    }
-                                    Err(e) => return Err(e),
-                                }
-                            } else {
-                                match try_enum(entry) {
-                                    Ok(statuses) => statuses,
-                                    Err(e) if e.governor_trip().is_some() => {
-                                        return degrade(entry, db, columns, e)
-                                    }
-                                    Err(e) => return Err(e),
-                                }
-                            }
-                        }
-                        Err(e) if e.governor_trip().is_some() => {
-                            // The symbolic backend tripped (node cap,
-                            // deadline, …): the mask pass is the next exact
-                            // rung when the world count fits the bound;
-                            // otherwise degrade to the approximation.
-                            if spec.check(db).is_ok() {
-                                match under_fallback_governor(|| try_mask(entry)) {
-                                    Ok((statuses, state)) => {
-                                        mask_state = Some(state);
-                                        statuses
-                                    }
-                                    Err(e2) if e2.governor_trip().is_some() => {
-                                        return degrade(entry, db, columns, e2)
-                                    }
-                                    Err(e2) => return Err(e2),
-                                }
-                            } else {
-                                return degrade(entry, db, columns, e);
-                            }
-                        }
-                        Err(e) => return Err(e),
-                    },
-                    Backend::Mask => match try_mask(entry) {
-                        Ok((statuses, state)) => {
-                            mask_state = Some(state);
-                            statuses
-                        }
-                        Err(e) if e.governor_trip().is_some() => {
-                            // The mask pass tripped (arena budget, deadline,
-                            // a poisoned morsel, …): the symbolic backend may
-                            // still cover the instance with far fewer
-                            // resources when its diagrams stay small.
-                            match under_fallback_governor(|| try_lineage(entry)) {
-                                Ok(statuses) => statuses,
-                                Err(e2) if e2.governor_trip().is_some() => {
-                                    return degrade(entry, db, columns, e2)
-                                }
-                                // Outside the symbolic fragment: degrade on
-                                // the original trip.
-                                Err(_) => return degrade(entry, db, columns, e),
-                            }
-                        }
-                        Err(e) => return Err(e),
-                    },
-                    Backend::WorldEnumeration => match try_enum(entry) {
-                        Ok(statuses) => statuses,
-                        Err(e) if e.governor_trip().is_some() => {
-                            return degrade(entry, db, columns, e)
-                        }
-                        Err(e) => return Err(e),
-                    },
-                };
-                let rows = label_rows(tuples, &statuses);
-                let answers = LabeledAnswers {
-                    columns,
-                    rows,
-                    verdict: Verdict::Exact,
-                };
-                // Only full-fidelity answers are cached: a degraded or
-                // refused result must never be served — let alone refined —
-                // later as if it were exact.
-                entry.exact = Some(ExactState {
-                    instance: db.instance(),
-                    epoch: db.epoch(),
-                    answers: answers.clone(),
-                    mask: mask_state,
-                });
-                return Ok(answers);
-            }
-            Scheme::Approx37 => {
-                if entry.approx37.is_none() {
-                    let pair =
-                        certa_certain::approx37::translate(&entry.lowered.expr, &entry.schema)?;
-                    entry.approx37 = Some(pair.prepare(&entry.schema)?);
-                }
-                let pair = entry.approx37.as_ref().ok_or_else(|| {
-                    PipelineError::Internal(
-                        "the (Q+, Q?) pair vanished between compilation and use".to_string(),
-                    )
-                })?;
-                let (plus, question) = pair.eval(db)?;
-                (plus, (question, Label::Possible))
-            }
+        let rows = match scheme {
+            Scheme::Exact => return execute_exact(entry, db, columns),
+            Scheme::Approx37 => entry.approx37_rows(db)?,
             Scheme::Approx51 => {
-                if entry.approx51.is_none() {
-                    let pair =
-                        certa_certain::approx51::translate(&entry.lowered.expr, &entry.schema)?;
-                    entry.approx51 = Some(pair.prepare(&entry.schema)?);
-                }
-                let pair = entry.approx51.as_ref().ok_or_else(|| {
-                    PipelineError::Internal(
-                        "the (Qt, Qf) pair vanished between compilation and use".to_string(),
-                    )
-                })?;
+                let pair = match &mut entry.approx51 {
+                    Some(pair) => pair,
+                    slot @ None => slot.insert(
+                        certa_certain::approx51::translate(&entry.lowered.expr, &entry.schema)?
+                            .prepare(&entry.schema)?,
+                    ),
+                };
                 let (q_true, q_false) = pair.eval(db)?;
-                (q_true, (q_false, Label::CertainlyFalse))
+                labeled(&q_true, &q_false, Label::CertainlyFalse)
             }
             Scheme::CTable(strategy) => {
                 let result = eval_conditional(&entry.optimized, db, strategy)?;
-                (result.certain(), (result.possible(), Label::Possible))
+                labeled(&result.certain(), &result.possible(), Label::Possible)
             }
         };
-        let (rest, rest_label) = second;
-        let mut rows: Vec<(Tuple, Label)> = certain
-            .iter()
-            .map(|t| (t.clone(), Label::Certain))
-            .collect();
-        rows.extend(
-            rest.iter()
-                .filter(|t| !certain.contains(t))
-                .map(|t| (t.clone(), rest_label)),
-        );
         Ok(LabeledAnswers {
             columns,
             rows,
@@ -1358,6 +1271,12 @@ impl Pipeline {
     /// as world-invariant **for this database instance**, and the plan
     /// cache statistics.
     ///
+    /// The [`BackendChoice`] is a dry run of [`Pipeline::execute`]'s walk
+    /// over the same rungs: each rung is probed instead of run — lineage by
+    /// compiling the instance's diagrams, the mask pass by profiling the
+    /// plan it executes — and the first probe that succeeds names the
+    /// backend.
+    ///
     /// # Errors
     ///
     /// Returns an error for malformed SQL or ill-formed lowered queries.
@@ -1365,46 +1284,46 @@ impl Pipeline {
         let entry = self.entry(sql, db.schema())?;
         let world = entry.plain.for_world_db(db);
         let spec = certa_certain::worlds::exact_pool(&entry.lowered.expr, db);
-        let mut backend = choose_exact_backend(&spec, db);
-        if backend.backend == Backend::Lineage {
-            // Compile the instance's lineage so the report can state the
-            // diagram size the dispatcher is trading against the masked
-            // pass — or the fragment boundary that will force the
-            // fallback (to the mask backend within the world bound, to
-            // enumeration past it).
-            match certa_lineage::LineageBatch::compile(&entry.optimized, db, spec.pool()) {
-                Ok(batch) => backend.diagram_nodes = Some(batch.diagram_size()),
-                Err(e) if e.is_unsupported() => {
-                    if spec.check(db).is_ok() {
-                        backend.backend = Backend::Mask;
-                        backend.reason = format!(
-                            "{}; but the query is outside the symbolic fragment ({e}), \
-                             so execution falls back to the world-mask single pass",
-                            backend.reason
-                        );
-                    } else {
-                        backend.backend = Backend::WorldEnumeration;
-                        backend.reason = format!(
-                            "{}; but the query is outside the symbolic fragment ({e}) \
-                             and the world count exceeds the mask bound, so execution \
-                             falls back to world enumeration",
-                            backend.reason
-                        );
-                    }
-                }
-                Err(e) => return Err(PipelineError::Certain(e.into())),
+        let (rungs, mut reason) = rungs(&spec, db);
+        let mut boundary = None;
+        let walked = walk(rungs, |backend| match backend {
+            Backend::Lineage => {
+                let batch = certa_lineage::LineageBatch::compile(&entry.optimized, db, spec.pool())
+                    .map_err(|e| {
+                        if e.is_unsupported() {
+                            boundary = Some(e.to_string());
+                        }
+                        PipelineError::Certain(e.into())
+                    })?;
+                Ok((Some(batch.diagram_size()), None))
             }
-        }
-        if backend.backend == Backend::Mask {
-            // Run the plan the mask rung executes once, purely to report its
-            // shape: the mask width and how many distinct bitsets the
-            // operators actually produced.
-            let prepared = mask_plan(&entry.lowered.expr, db)?;
-            backend.mask_stats = Some(
-                certa_certain::mask::profile(&prepared, db, &spec)
-                    .map_err(PipelineError::Certain)?,
+            Backend::Mask => {
+                let prepared = mask_plan(&entry.lowered.expr, db)?;
+                let stats = certa_certain::mask::profile(&prepared, db, &spec)?;
+                Ok((None, Some(stats)))
+            }
+        })?;
+        let (backend, (diagram_nodes, mask_stats)) = match walked {
+            Some((backend, probe)) => (Some(backend), probe),
+            None => (None, (None, None)),
+        };
+        if let Some(e) = boundary {
+            let then = backend.map_or("no exact backend answers it".to_string(), |backend| {
+                format!("execution falls back to the {backend}")
+            });
+            reason = format!(
+                "{reason}; but the query is outside the symbolic fragment ({e}), so {then}"
             );
         }
+        let backend = BackendChoice {
+            backend,
+            reason,
+            nulls: db.nulls().len(),
+            pool: spec.pool().len(),
+            worlds: spec.world_count(db),
+            diagram_nodes,
+            mask_stats,
+        };
         let (hits, misses) = (self.hits, self.misses);
         let lifetime = self.maintenance_totals();
         let entry = self.cache.get(sql).ok_or_else(|| {
@@ -1415,28 +1334,17 @@ impl Pipeline {
         // Report what the answer cache would do with an Exact request at
         // the database's current state, and how many deltas it would chew
         // through.
-        let (decision, pending_deltas) = match &entry.exact {
-            None => (
-                "recompute: no cached answers for this instance".to_string(),
-                None,
+        let pending_deltas = (entry.exact.as_ref())
+            .filter(|state| state.instance == db.instance())
+            .map(|state| (db.epoch() - state.epoch) as usize);
+        let decision = match decide(entry.exact.as_ref(), db) {
+            MaintenanceDecision::Serve => "serve cached answers".to_string(),
+            MaintenanceDecision::Refine { resolves, inserts } => format!(
+                "refine cached answers ({} restriction(s), {} delta merge(s))",
+                resolves.len(),
+                inserts.len()
             ),
-            Some(state) => {
-                let pending = if state.instance == db.instance() {
-                    Some((db.epoch() - state.epoch) as usize)
-                } else {
-                    None
-                };
-                let what = match decide(state, db) {
-                    MaintenanceDecision::Serve => "serve cached answers".to_string(),
-                    MaintenanceDecision::Refine { resolves, inserts } => format!(
-                        "refine cached answers ({} restriction(s), {} delta merge(s))",
-                        resolves.len(),
-                        inserts.len()
-                    ),
-                    MaintenanceDecision::Recompute { reason } => format!("recompute: {reason}"),
-                };
-                (what, pending)
-            }
+            MaintenanceDecision::Recompute { reason } => format!("recompute: {reason}"),
         };
         Ok(Explain {
             sql: sql.to_string(),
@@ -1650,11 +1558,11 @@ pub struct Explain {
     pub hoisted: Vec<String>,
     /// `true` when the *entire* plan is world-invariant on this database.
     pub fully_invariant: bool,
-    /// Possible worlds an exact evaluation would enumerate on this database.
+    /// Possible worlds of this database under the exact constant pool.
     pub worlds: usize,
-    /// Which backend the [`Scheme::Exact`] dispatcher selects for this
-    /// instance, and why (null count, pool size, world count, diagram
-    /// size when the lineage backend was probed).
+    /// Which exact backend answers [`Scheme::Exact`] on this instance, and
+    /// why (null count, pool size, world count, and the diagram size or
+    /// mask stats of the rung that answered the dry run).
     pub backend: BackendChoice,
     /// Plan-cache hits so far.
     pub cache_hits: usize,
@@ -1680,9 +1588,10 @@ pub struct Explain {
     pub decision: String,
     /// Refine-vs-recompute decisions taken for this query so far.
     pub maintenance: MaintenanceCounters,
-    /// Maintenance decisions across the **whole pipeline lifetime**: unlike
-    /// [`Explain::maintenance`], these survive LRU eviction of the entry.
-    pub lifetime: MaintenanceTotals,
+    /// Maintenance decisions across the **whole pipeline lifetime**
+    /// ([`Pipeline::maintenance_totals`]): unlike [`Explain::maintenance`],
+    /// these survive LRU eviction of the entry.
+    pub lifetime: MaintenanceCounters,
     /// Durability state of the database (`None` when no write-ahead log is
     /// attached): WAL frame/byte counts, snapshot progress, and whether the
     /// attachment is poisoned.
@@ -1699,8 +1608,11 @@ impl fmt::Display for Explain {
         for line in self.physical.lines() {
             writeln!(f, "  {line}")?;
         }
-        writeln!(f, "worlds to enumerate (exact scheme): {}", self.worlds)?;
-        writeln!(f, "exact-scheme backend: {}", self.backend.backend)?;
+        writeln!(f, "possible worlds (exact scheme): {}", self.worlds)?;
+        match self.backend.backend {
+            Some(backend) => writeln!(f, "exact-scheme backend: {backend}")?,
+            None => writeln!(f, "exact-scheme backend: none")?,
+        }
         writeln!(f, "  because: {}", self.backend.reason)?;
         if let Some(nodes) = self.backend.diagram_nodes {
             writeln!(
@@ -1777,7 +1689,7 @@ impl fmt::Display for Explain {
             self.lifetime.refined,
             self.lifetime.delta_merged,
             self.lifetime.recomputed,
-            self.lifetime.evicted
+            self.cache_evictions
         )?;
         writeln!(
             f,
@@ -1936,7 +1848,7 @@ mod tests {
         let sql = "SELECT a FROM R WHERE b <> 1";
         let mut p = Pipeline::new();
         let explain = p.explain(sql, &db).unwrap();
-        assert_eq!(explain.backend.backend, Backend::Lineage);
+        assert_eq!(explain.backend.backend, Some(Backend::Lineage));
         assert!(explain.backend.worlds > LINEAGE_WORLD_THRESHOLD);
         assert!(explain.backend.diagram_nodes.is_some());
         assert!(explain.to_string().contains("lineage"));
@@ -1959,7 +1871,7 @@ mod tests {
         let sql = "SELECT a FROM R WHERE a <> 2";
         let mut p = Pipeline::new();
         let explain = p.explain(sql, &db).unwrap();
-        assert_eq!(explain.backend.backend, Backend::Mask);
+        assert_eq!(explain.backend.backend, Some(Backend::Mask));
         let stats = explain.backend.mask_stats.expect("mask stats reported");
         assert_eq!(stats.worlds, explain.backend.worlds);
         assert_eq!(stats.words_per_mask, stats.worlds.div_ceil(64));
@@ -1990,20 +1902,22 @@ mod tests {
     }
 
     #[test]
-    fn unsupported_fragment_over_the_bound_falls_back_to_enumeration() {
+    fn unsupported_fragment_over_the_bound_has_no_exact_rung() {
         // `IS NULL` lowers to the syntactic null(·) predicate, outside the
         // symbolic fragment; at 8 nulls the world count also exceeds the
-        // mask bound, so the dispatcher's last resort is enumeration (and
-        // explain must say so), which then legitimately hits the world
-        // bound.
+        // world bound, so lineage is the only rung and it cannot express
+        // the query: explain reports no backend, and execution hits the
+        // world bound.
         let rows: Vec<Tuple> = (0..8u32).map(|i| tup![Value::null(i)]).collect();
         let db = database_from_literal([("R", vec!["a"], rows), ("S", vec!["a"], vec![tup![1]])]);
         let sql = "SELECT a FROM R WHERE a IS NULL";
         let mut p = Pipeline::new();
         let explain = p.explain(sql, &db).unwrap();
-        assert_eq!(explain.backend.backend, Backend::WorldEnumeration);
-        assert!(explain.backend.reason.contains("falls back"));
-        assert!(explain.backend.reason.contains("mask bound"));
+        assert_eq!(explain.backend.backend, None);
+        let reason = &explain.backend.reason;
+        assert!(reason.contains("outside the symbolic fragment"), "{reason}");
+        assert!(reason.contains("world bound"), "{reason}");
+        assert!(explain.to_string().contains("exact-scheme backend: none"));
         assert!(matches!(
             p.execute(sql, &db, Scheme::Exact),
             Err(PipelineError::Certain(CertainError::TooManyWorlds { .. }))
@@ -2023,7 +1937,7 @@ mod tests {
         let mut p = Pipeline::new();
         let explain = p.explain(sql, &db).unwrap();
         assert!(explain.backend.worlds > LINEAGE_WORLD_THRESHOLD);
-        assert_eq!(explain.backend.backend, Backend::Mask);
+        assert_eq!(explain.backend.backend, Some(Backend::Mask));
         assert!(explain
             .backend
             .reason
@@ -2202,32 +2116,39 @@ mod tests {
         // The 8-null instance dispatches to the lineage backend (beyond the
         // mask threshold); a node cap of 0 trips it on the first fresh
         // diagram node, and with the world count over the bound the only
-        // rung left is the (Q+, Q?) approximation.
+        // rung left is the (Q+, Q?) approximation. A row budget of 20 trips
+        // it inside c-table evaluation instead, a trip that must degrade
+        // the same way rather than surface as a query error.
         let rows: Vec<Tuple> = (0..8u32)
             .map(|i| tup![i64::from(i), Value::null(i)])
             .collect();
         let db =
             database_from_literal([("R", vec!["a", "b"], rows), ("S", vec!["b"], vec![tup![1]])]);
         let sql = "SELECT a FROM R WHERE b <> 1";
-        let mut p = Pipeline::new();
-        p.set_budget(Some(ExecBudget::new().with_node_budget(0)));
-        let out = p.execute(sql, &db, Scheme::Exact).unwrap();
-        let Verdict::Degraded(why) = &out.verdict else {
-            panic!("expected a degraded verdict, got {}", out.verdict);
-        };
-        assert!(why.contains("node"), "{why}");
-        // Soundness: the degraded certain answers are a subset of the exact
-        // ones (here both empty), and every exact certain answer the
-        // approximation can see is at least possible.
         let exact = Pipeline::new().execute(sql, &db, Scheme::Exact).unwrap();
-        for t in out.certain().iter() {
-            assert!(exact.certain().contains(t));
+        for (budget, tripped) in [
+            (ExecBudget::new().with_node_budget(0), "node"),
+            (ExecBudget::new().with_row_budget(20), "row"),
+        ] {
+            let mut p = Pipeline::new();
+            p.set_budget(Some(budget));
+            let out = p.execute(sql, &db, Scheme::Exact).unwrap();
+            let Verdict::Degraded(why) = &out.verdict else {
+                panic!("expected a degraded verdict, got {}", out.verdict);
+            };
+            assert!(why.contains(tripped), "{why}");
+            // Soundness: the degraded certain answers are a subset of the
+            // exact ones (here both empty), and every exact certain answer
+            // the approximation can see is at least possible.
+            for t in out.certain().iter() {
+                assert!(exact.certain().contains(t));
+            }
+            assert_eq!(out.possible().len(), 8);
+            // The degraded answers were not cached as exact.
+            p.set_budget(None);
+            let after = p.execute(sql, &db, Scheme::Exact).unwrap();
+            assert_eq!(after, exact);
         }
-        assert_eq!(out.possible().len(), 8);
-        // The degraded answers were not cached as exact.
-        p.set_budget(None);
-        let after = p.execute(sql, &db, Scheme::Exact).unwrap();
-        assert_eq!(after, exact);
     }
 
     #[test]
@@ -2310,7 +2231,7 @@ mod tests {
                    WHERE c.custkey = o.custkey AND c.nationkey = 1";
         let mut p = Pipeline::new();
         let explained = p.explain(sql, &db).unwrap();
-        assert_eq!(explained.backend.backend, Backend::Mask);
+        assert_eq!(explained.backend.backend, Some(Backend::Mask));
         let entry = &p.cache[sql];
         let run = mask_plan(&entry.lowered.expr, &db).unwrap();
         assert_ne!(entry.plain.plan().to_string(), run.plan().to_string());

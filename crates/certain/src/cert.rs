@@ -93,8 +93,7 @@ impl<'a> WorldBatch<'a> {
 /// # Errors
 ///
 /// Returns [`crate::CertainError::Lineage`] when the query lies outside
-/// the symbolic fragment (callers fall back to enumeration) or a model
-/// count overflows.
+/// the symbolic fragment or a model count overflows.
 pub fn cert_with_nulls_lineage(query: &RaExpr, db: &Database) -> Result<Relation> {
     cert_with_nulls_lineage_with(query, db, &exact_pool(query, db))
 }

@@ -84,7 +84,7 @@ pub enum CertainError {
     Data(certa_data::DataError),
     /// An error bubbled up from the lineage (knowledge-compilation)
     /// backend. `Lineage(e)` with `e.is_unsupported()` marks a fragment
-    /// boundary the dispatcher answers by falling back to enumeration.
+    /// boundary the dispatcher answers with its next exact backend.
     Lineage(certa_lineage::LineageError),
     /// The resource governor refused further work (deadline, budget,
     /// cancellation, injected fault, or an isolated worker panic). Always a

@@ -79,5 +79,16 @@ impl From<certa_algebra::AlgebraError> for CtError {
     }
 }
 
+impl CtError {
+    /// The governor trip behind this error, if that is what it is: a trip
+    /// inside conditional evaluation surfaces through the algebra layer.
+    pub fn governor_trip(&self) -> Option<&certa_data::GovernorError> {
+        match self {
+            CtError::Algebra(e) => e.governor_trip(),
+            _ => None,
+        }
+    }
+}
+
 /// Result alias for this crate.
 pub type Result<T> = std::result::Result<T, CtError>;

@@ -64,7 +64,7 @@ impl LineageBatch {
     /// * [`LineageError::Unsupported`] when the query uses operators or
     ///   predicates outside the symbolic fragment (÷, `Domᵏ`, `⋉⇑`,
     ///   syntactic `const(·)`/`null(·)` tests, literals containing marked
-    ///   nulls) — callers fall back to world enumeration;
+    ///   nulls) — callers try another exact backend;
     /// * [`LineageError::Algebra`] for ill-formed queries.
     pub fn compile(query: &RaExpr, db: &Database, pool: &[Const]) -> Result<LineageBatch> {
         Self::compile_inner(query, db, pool, true)

@@ -61,7 +61,7 @@ pub enum LineageError {
     /// The query lies outside the fragment whose symbolic reading provably
     /// coincides with per-world evaluation (extended operators, syntactic
     /// `const`/`null` predicates, null-bearing literals, bag monus).
-    /// Callers fall back to world enumeration.
+    /// Callers try another exact backend.
     Unsupported(&'static str),
     /// A model count exceeded `u128` — the symbolic sibling of the world
     /// engines' `TooManyWorlds`: overflow surfaces as a value, never as a
@@ -75,7 +75,7 @@ pub enum LineageError {
     /// deadline passed, or cancellation raised mid-compilation. Like
     /// [`LineageError::CountOverflow`], exhaustion is a value, never a
     /// wrong answer; unlike [`LineageError::Unsupported`], it is **not** a
-    /// fragment boundary, so the dispatcher must not retry enumeration
+    /// fragment boundary, so the dispatcher must not retry another backend
     /// under the same spent budget as if the query were out of fragment.
     Exhausted(certa_data::GovernorError),
 }
@@ -124,18 +124,19 @@ impl From<certa_algebra::AlgebraError> for LineageError {
 
 impl LineageError {
     /// `true` when the error marks a fragment boundary rather than a
-    /// failure — the dispatcher falls back to enumeration on these.
+    /// failure — the dispatcher moves on to the next exact backend.
     pub fn is_unsupported(&self) -> bool {
         matches!(self, LineageError::Unsupported(_))
     }
 
     /// The governor trip behind this error, if that is what it is — either
     /// a direct [`LineageError::Exhausted`] or a trip that surfaced through
-    /// the algebra layer.
+    /// the algebra layer or conditional evaluation.
     pub fn governor_trip(&self) -> Option<&certa_data::GovernorError> {
         match self {
             LineageError::Exhausted(e) => Some(e),
             LineageError::Algebra(e) => e.governor_trip(),
+            LineageError::CTable(e) => e.governor_trip(),
             _ => None,
         }
     }

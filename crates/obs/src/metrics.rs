@@ -65,7 +65,6 @@ metric_ids! {
     // Backend dispatch + degradation lattice.
     DispatchMask => "dispatch.mask",
     DispatchLineage => "dispatch.lineage",
-    DispatchEnum => "dispatch.enum",
     VerdictExact => "verdict.exact",
     VerdictDegraded => "verdict.degraded",
     VerdictRefused => "verdict.refused",

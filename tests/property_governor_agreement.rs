@@ -10,6 +10,10 @@
 //!   bit-identical to an ungoverned scratch oracle. Degraded `Certain`
 //!   labels are a subset of the exact certain answers, and every exact
 //!   certain answer still appears among the degraded rows;
+//! * **trips are never errors** — a row budget drawn from what the
+//!   request actually spends trips wherever the rows run out, including
+//!   inside the c-table evaluation under lineage and under
+//!   `Scheme::CTable`; every such run comes back `Ok` with a verdict;
 //! * **no poisoned cache** — after any governed request (including
 //!   cancellations that interrupt a refine mid-flight), lifting the budget
 //!   yields answers bit-identical to a cold pipeline on the same database;
@@ -184,6 +188,82 @@ fn governed_pipeline_runs_never_yield_wrong_answers_or_poisoned_caches() {
     assert!(refused > 0, "no governed run refused");
 }
 
+/// Lineage-first instances: 5 nulls put most instances past the mask
+/// threshold, so lineage runs first under the request's own row budget
+/// instead of after a mask trip under a fallback governor that lifts it.
+fn lineage_first_config(seed: u64) -> RandomDbConfig {
+    RandomDbConfig {
+        relations: vec![("R".to_string(), 2), ("S".to_string(), 1)],
+        tuples_per_relation: 6,
+        domain_size: 3,
+        null_count: 5,
+        null_rate: 0.4,
+        seed,
+    }
+}
+
+/// Row budgets small enough to trip only during candidate derivation miss
+/// the trips deeper in a request. Each request here runs once metered, and
+/// the real row budget is drawn uniformly from zero to the rows that run
+/// spent, so trips land anywhere along the request, under both `Exact`
+/// and `CTable(Eager)`.
+#[test]
+fn row_budgets_drawn_from_the_spend_come_back_with_a_verdict() {
+    let mut exact = 0usize;
+    let mut degraded = 0usize;
+    let mut refused = 0usize;
+    for seed in 0..120u64 {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5BE9D);
+        let db = random_database(&lineage_first_config(seed));
+        let sql = certa::workload::random_sql(
+            db.schema(),
+            &certa::workload::RandomSqlConfig {
+                seed,
+                ..Default::default()
+            },
+        );
+        let Ok(exact_oracle) = Pipeline::new().execute(&sql, &db, Scheme::Exact) else {
+            continue;
+        };
+        for scheme in [Scheme::Exact, Scheme::CTable(Strategy::Eager)] {
+            let Ok(oracle) = Pipeline::new().execute(&sql, &db, scheme) else {
+                continue;
+            };
+            let mut metered = Pipeline::new();
+            metered.set_budget(Some(ExecBudget::new().with_row_budget(1 << 40)));
+            let run = metered.execute(&sql, &db, scheme).unwrap();
+            assert!(run.verdict.is_exact(), "seed {seed}: {}", run.verdict);
+            let explained = metered.explain(&sql, &db).unwrap();
+            let spent = explained.governor.expect("a governed run").spent.rows;
+
+            let budget = rng.gen_range(0..=spent);
+            let mut governed = Pipeline::new();
+            governed.set_budget(Some(ExecBudget::new().with_row_budget(budget)));
+            let context = format!("seed {seed}, {scheme:?}, row budget {budget} ({sql})");
+            let out = governed
+                .execute(&sql, &db, scheme)
+                .unwrap_or_else(|e| panic!("{context}: errored: {e}\non\n{db}"));
+            match &out.verdict {
+                Verdict::Exact => {
+                    assert_eq!(out, oracle, "{context}");
+                    exact += 1;
+                }
+                Verdict::Degraded(_) => {
+                    assert_degraded_sound(&out, &exact_oracle, &context);
+                    degraded += 1;
+                }
+                Verdict::Refused(_) => {
+                    assert!(out.rows.is_empty(), "{context}: refused with rows");
+                    refused += 1;
+                }
+            }
+        }
+    }
+    assert!(exact > 0, "no budgeted run stayed exact");
+    assert!(degraded > 0, "no budgeted run degraded");
+    assert!(refused > 0, "no budgeted run refused");
+}
+
 #[test]
 fn governed_mask_classification_is_worker_invariant_or_typed() {
     let mut governed_ok = 0usize;
@@ -269,7 +349,7 @@ fn acceptance_two_to_the_twenty_worlds_under_a_ten_ms_deadline() {
         "the instance must span at least 2^20 worlds, got {}",
         explain.worlds
     );
-    assert_eq!(explain.backend.backend, Backend::Lineage);
+    assert_eq!(explain.backend.backend, Some(Backend::Lineage));
 
     p.set_budget(Some(
         ExecBudget::new().with_deadline(Duration::from_millis(10)),

@@ -16,14 +16,18 @@
 //! * The pipeline-lifetime maintenance totals survive the LRU eviction
 //!   that resets an entry's own counters — the PR 9 fix for the vanishing
 //!   `explain()` maintenance story.
+//! * `explain()` is a dry run of the rung walk `execute` takes: the exact
+//!   backend it names is the one whose span `execute` opened last.
 
 use certa::algebra::physical::{self, PhysOp, SetAnn, SetSource};
 use certa::certain::mask::classify_candidates_mask;
 use certa::certain::worlds::WorldSpec;
+use certa::certain::CertainError;
 use certa::obs;
 use certa::prelude::*;
 use certa::sql::{lower_to_algebra, parse as sql_parse};
 use certa::workload::{random_sql, RandomSqlConfig};
+use certa::PipelineError;
 
 /// Pre-order walk over a physical plan: the order `render()` prints lines
 /// and the order span ids are allocated during single-threaded execution.
@@ -249,7 +253,75 @@ fn lifetime_maintenance_totals_survive_lru_eviction() {
     let totals = pipeline.maintenance_totals();
     assert_eq!(totals.served, 1, "lifetime totals survive eviction");
     assert_eq!(totals.recomputed, 3);
-    assert!(totals.evicted >= 2);
+    assert!(pipeline.cache_evictions() >= 2);
     assert_eq!(explain.lifetime.served, 1);
     assert_eq!(explain.lifetime.recomputed, 3);
+}
+
+/// Across seeded SQL over instances with 1–7 nulls (so both sides of the
+/// mask threshold and of the world bound), the backend `explain()` names
+/// is the rung that answers `execute`: the `backend:*` span with the
+/// highest id in a trace installed around the request. The trace is
+/// thread-local, so parallel test threads cannot read each other's spans.
+#[test]
+fn explain_predicts_the_rung_that_answers_execute() {
+    let (mut mask, mut lineage, mut fell_back) = (0usize, 0usize, 0usize);
+    for seed in 0..240u64 {
+        let db = random_database(&RandomDbConfig {
+            relations: vec![("R".to_string(), 2), ("S".to_string(), 1)],
+            tuples_per_relation: 6,
+            domain_size: 3,
+            null_count: 1 + (seed % 7) as u32,
+            null_rate: 0.4,
+            seed,
+        });
+        let sql = random_sql(
+            db.schema(),
+            &RandomSqlConfig {
+                seed,
+                ..Default::default()
+            },
+        );
+        let mut pipeline = Pipeline::new();
+        let Ok(explain) = pipeline.explain(&sql, &db) else {
+            continue; // does not lower
+        };
+        let trace = obs::Trace::new();
+        let out = {
+            let _installed = obs::install(Some(trace.clone()));
+            pipeline.execute(&sql, &db, Scheme::Exact)
+        };
+        let Some(predicted) = explain.backend.backend else {
+            assert!(
+                matches!(
+                    out,
+                    Err(PipelineError::Certain(CertainError::TooManyWorlds { .. }))
+                ),
+                "seed {seed}: no rung predicted, but execute gave {out:?}\n  {sql}"
+            );
+            continue;
+        };
+        let out = out.unwrap_or_else(|e| panic!("seed {seed}: {e}\n  {sql}"));
+        assert!(out.verdict.is_exact(), "seed {seed}: {}", out.verdict);
+        let mut tried: Vec<obs::Event> = trace
+            .events()
+            .into_iter()
+            .filter(|ev| ev.kind == obs::EventKind::Complete && ev.name.starts_with("backend:"))
+            .collect();
+        tried.sort_by_key(|ev| ev.id);
+        let answered = tried.last().expect("a backend span");
+        let expected = match predicted {
+            Backend::Mask => "backend:mask",
+            Backend::Lineage => "backend:lineage",
+        };
+        assert_eq!(answered.name, expected, "seed {seed}\n  {sql}");
+        match (predicted, tried.len()) {
+            (Backend::Mask, 1) => mask += 1,
+            (Backend::Mask, _) => fell_back += 1,
+            (Backend::Lineage, _) => lineage += 1,
+        }
+    }
+    assert!(mask > 0, "no statement was answered by the mask rung");
+    assert!(lineage > 0, "no statement was answered by the lineage rung");
+    assert!(fell_back > 0, "no statement fell back from lineage to mask");
 }
