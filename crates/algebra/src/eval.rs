@@ -14,7 +14,7 @@
 
 use crate::expr::RaExpr;
 use crate::physical;
-use crate::Result;
+use crate::{AlgebraError, Result};
 use certa_data::{unify, Database, Relation, Tuple, Value};
 
 /// Evaluate an expression on a database under set semantics.
@@ -45,14 +45,25 @@ pub fn divide(dividend: &Relation, divisor: &Relation) -> Relation {
 
 /// All `k`-tuples over the given domain, in index order (the tuple stream
 /// behind the `Domᵏ` operator, shared by every annotation domain).
-pub(crate) fn dom_power_over(domain: &[Value], k: usize) -> Vec<Tuple> {
+///
+/// # Errors
+///
+/// [`AlgebraError::DomainPowerOverflow`] when `|domain|ᵏ` does not fit in
+/// a `usize`.
+pub(crate) fn dom_power_over(domain: &[Value], k: usize) -> Result<Vec<Tuple>> {
     if k == 0 {
-        return vec![Tuple::empty()];
+        return Ok(vec![Tuple::empty()]);
     }
     if domain.is_empty() {
-        return Vec::new();
+        return Ok(Vec::new());
     }
-    let total = domain.len().pow(k as u32);
+    let total = u32::try_from(k)
+        .ok()
+        .and_then(|exp| domain.len().checked_pow(exp))
+        .ok_or(AlgebraError::DomainPowerOverflow {
+            domain: domain.len(),
+            k,
+        })?;
     let mut out = Vec::with_capacity(total);
     for mut idx in 0..total {
         let mut values = Vec::with_capacity(k);
@@ -62,16 +73,21 @@ pub(crate) fn dom_power_over(domain: &[Value], k: usize) -> Vec<Tuple> {
         }
         out.push(Tuple::new(values));
     }
-    out
+    Ok(out)
 }
 
 /// The active-domain power `Domᵏ(D)`: all `k`-tuples over `dom(D)`.
 ///
 /// This is the (deliberately expensive) building block of the (Qt,Qf)
 /// translations of Figure 2(a); its cost is what the (Q+,Q?) scheme avoids.
-pub fn dom_power(db: &Database, k: usize) -> Relation {
+///
+/// # Errors
+///
+/// [`AlgebraError::DomainPowerOverflow`] when `|dom(D)|ᵏ` does not fit in
+/// a `usize`.
+pub fn dom_power(db: &Database, k: usize) -> Result<Relation> {
     let domain: Vec<Value> = db.active_domain().into_iter().collect();
-    Relation::with_arity(k, dom_power_over(&domain, k))
+    Ok(Relation::with_arity(k, dom_power_over(&domain, k)?))
 }
 
 /// The unification anti-semijoin `L ⋉⇑ R`: tuples of `L` that unify with no
@@ -190,9 +206,9 @@ mod tests {
     #[test]
     fn dom_power_enumerates_active_domain() {
         let d = database_from_literal([("R", vec!["a"], vec![tup![1], tup![Value::null(0)]])]);
-        assert_eq!(dom_power(&d, 0).len(), 1);
-        assert_eq!(dom_power(&d, 1).len(), 2);
-        assert_eq!(dom_power(&d, 2).len(), 4);
+        assert_eq!(dom_power(&d, 0).unwrap().len(), 1);
+        assert_eq!(dom_power(&d, 1).unwrap().len(), 2);
+        assert_eq!(dom_power(&d, 2).unwrap().len(), 4);
         let q = RaExpr::DomPower(2);
         assert_eq!(eval(&q, &d).unwrap().len(), 4);
     }
@@ -200,8 +216,21 @@ mod tests {
     #[test]
     fn dom_power_of_empty_database() {
         let d = database_from_literal([("R", vec!["a"], vec![])]);
-        assert_eq!(dom_power(&d, 2).len(), 0);
-        assert_eq!(dom_power(&d, 0).len(), 1);
+        assert_eq!(dom_power(&d, 2).unwrap().len(), 0);
+        assert_eq!(dom_power(&d, 0).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn dom_power_past_usize_is_an_error_not_a_short_relation() {
+        // 8,192⁵ = 2⁶⁵ tuples: the size wraps to 0 without a checked power.
+        let d = database_from_literal([("R", vec!["a"], (0..8192).map(|i| tup![i]).collect())]);
+        let overflow = AlgebraError::DomainPowerOverflow { domain: 8192, k: 5 };
+        let q = RaExpr::DomPower(5);
+        assert_eq!(eval(&q, &d).unwrap_err(), overflow);
+        assert_eq!(
+            crate::reference::eval_set_reference(&q, &d).unwrap_err(),
+            overflow
+        );
     }
 
     #[test]

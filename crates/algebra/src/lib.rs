@@ -20,9 +20,9 @@
 //!   ([`PreparedQuery::prepare_optimized`]);
 //! * [`physical`] — the **annotation-generic physical engine**: one
 //!   operator pipeline (hash join, scan-pushed selection, hash-resolved
-//!   intersection/difference) instantiated over annotation domains, plus
-//!   the evaluate-once world split ([`physical::PreparedWorldQuery`]) that
-//!   hoists null-independent subplans out of per-world execution;
+//!   intersection/difference) instantiated over annotation domains, with
+//!   [`PreparedQuery`] compiling a plan once to run over many possible
+//!   worlds through [`ValuationSource`];
 //! * [`mask`] — **world-mask evaluation** ([`mask::ColumnarExec`]): every
 //!   row carries a bitset of the possible worlds containing it, so the whole
 //!   possible-worlds quantification is answered in a *single* plan
@@ -86,7 +86,7 @@ pub use naive::naive_eval;
 pub use opt::{optimize, optimize_with, Stats};
 pub use physical::{
     delta_profile, AnnRel, Annotation, BagAnn, BagValuationSource, DeltaProfile, OpKind, PhysOp,
-    PreparedQuery, PreparedWorldQuery, SetAnn, Source, ValuationSource,
+    PreparedQuery, SetAnn, Source, ValuationSource,
 };
 
 /// Errors raised while validating or evaluating relational-algebra
@@ -121,6 +121,14 @@ pub enum AlgebraError {
     /// An extended operator was evaluated in an annotation domain that does
     /// not support it (e.g. `Domᵏ` under conditional semantics).
     UnsupportedOperator(&'static str),
+    /// `Domᵏ` over an active domain of `domain` values has more than
+    /// `usize::MAX` tuples, so its output cannot be sized.
+    DomainPowerOverflow {
+        /// Size of the active domain.
+        domain: usize,
+        /// The power `k`.
+        k: usize,
+    },
     /// An error bubbled up from the data layer.
     Data(certa_data::DataError),
     /// The resource governor stopped the execution (budget trip,
@@ -155,6 +163,10 @@ impl std::fmt::Display for AlgebraError {
                     "operator `{op}` is not supported by this annotation domain"
                 )
             }
+            AlgebraError::DomainPowerOverflow { domain, k } => write!(
+                f,
+                "Dom^{k} over an active domain of {domain} values overflows the tuple count"
+            ),
             AlgebraError::Data(e) => write!(f, "{e}"),
             AlgebraError::Governor(e) => write!(f, "{e}"),
         }

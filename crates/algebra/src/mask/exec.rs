@@ -16,10 +16,6 @@
 //! Determinism is structural: parallel stages produce per-morsel partial
 //! relations that are merged **in morsel order**, so the executor's output
 //! — row order included — is bit-identical at every worker count.
-//!
-//! [`PhysOp::Cached`] nodes are rejected: the mask path runs the plain
-//! (unhoisted) plan, where world-invariant caching has nothing to cache
-//! across — there is only one pass.
 
 use crate::expr::Condition;
 use crate::governor;
@@ -255,11 +251,6 @@ impl<'a> ColumnarExec<'a> {
                 let l = self.execute(le)?;
                 let r = self.execute(re)?;
                 self.anti_unify(l, &r)
-            }
-            PhysOp::Cached { .. } => {
-                return Err(AlgebraError::UnsupportedOperator(
-                    "cached subplan under the columnar mask executor",
-                ))
             }
         };
         self.record(&rel);
@@ -798,15 +789,6 @@ mod tests {
         for q in queries {
             assert_matches_world_enumeration(&q, &d, &[1, 2, 3]);
         }
-    }
-
-    #[test]
-    fn cached_nodes_are_rejected() {
-        let d = db();
-        let ctx = ColumnarContext::new(d.nulls(), [Const::Int(1)]).unwrap();
-        let exec = ColumnarExec::new(&d, &ctx, MorselPool::new(1));
-        let err = exec.execute(&PhysOp::Cached { slot: 0 }).unwrap_err();
-        assert!(matches!(err, AlgebraError::UnsupportedOperator(_)));
     }
 
     #[test]

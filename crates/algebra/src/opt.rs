@@ -22,13 +22,11 @@
 //!    still needs, and cascaded projections collapse.
 //! 4. **Null-aware leaf ordering** — when [`Stats`] knows which relations
 //!    contain marked nulls, the greedy join order clusters *null-free*
-//!    leaves first. A subplan over null-free relations produces the same
-//!    result in every possible world, so `PreparedQuery::for_world_db`
-//!    can hoist it, evaluate it **once**, and splice the materialised
-//!    result into all (often 10⁴+) per-world executions; pushing
-//!    null-dependent leaves towards the root of the join tree maximises
-//!    that shared prefix. The per-world saving dwarfs any single-world
-//!    join-order loss.
+//!    leaves first and pushes null-dependent ones towards the root of the
+//!    join tree. A subplan over null-free relations produces the same rows
+//!    in every possible world; the world-mask executor ([`crate::mask`])
+//!    gives such rows the full mask, which stores no mask words, so this
+//!    order keeps mask words out of the join prefix.
 //!
 //! Every rewrite is an identity in *all* annotation domains of the physical
 //! engine — sets, bags and c-table conditions alike. That restricts the
@@ -48,7 +46,7 @@ use certa_data::{BagDatabase, Database, Schema};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Per-relation statistics the optimizer may exploit: cardinalities for the
-/// greedy join order and null presence for world-invariance clustering.
+/// greedy join order and null presence for the null-aware leaf ordering.
 ///
 /// [`Stats::schema_only`] (the default) knows nothing: every relation gets
 /// the same default cardinality and is assumed null-free, which reduces the
@@ -56,7 +54,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// filters first". [`Stats::from_database`] reads both cardinalities and
 /// null presence from an instance — the certain-answer machinery builds it
 /// per request, where the cost (one `is_complete` scan per relation) is
-/// noise next to the world enumeration it accelerates.
+/// noise next to the possible-worlds evaluation it plans.
 #[derive(Debug, Clone, Default)]
 pub struct Stats {
     cards: BTreeMap<String, usize>,
@@ -125,8 +123,7 @@ impl Stats {
 
     /// Whether the expression depends on any null-bearing relation (or on
     /// the active domain, which varies with the valuation). This is the
-    /// null-dependence test the leaf ordering uses; the physical layer
-    /// re-derives the same property per plan node for hoisting.
+    /// null-dependence test the leaf ordering uses.
     pub fn null_dependent(&self, expr: &RaExpr) -> bool {
         if contains_dom_power(expr) {
             return true;
@@ -561,10 +558,9 @@ fn reorder_cluster(expr: &RaExpr, schema: &Schema, stats: &Stats) -> Result<RaEx
         leaf.est = estimate(&leaf.expr, stats);
     }
 
-    // Greedy order: null-independent leaves first (they form the hoistable
-    // prefix of the left-deep tree), connected leaves before cross
-    // products, smaller estimates before larger, original order as the
-    // deterministic tie-break.
+    // Greedy order: null-independent leaves first (rule 4 of the module
+    // doc), connected leaves before cross products, smaller estimates
+    // before larger, original order as the deterministic tie-break.
     let edge_leaves = |cond: &Condition, leaves: &[Leaf]| -> BTreeSet<usize> {
         condition_attrs(cond)
             .iter()

@@ -553,8 +553,6 @@ pub enum OpKind {
     DomPower,
     /// Unification anti-semijoin.
     AntiSemiJoinUnify,
-    /// A hoisted subplan spliced in from a world-invariant cache.
-    Cached,
 }
 
 /// A physical operator tree, produced by [`plan`] from an [`RaExpr`].
@@ -610,14 +608,6 @@ pub enum PhysOp {
     DomPower(usize),
     /// Unification anti-semijoin (extended; support-based).
     AntiSemiJoinUnify(Box<PhysOp>, Box<PhysOp>),
-    /// A slot of a materialised world-invariant cache: the subplan
-    /// originally here depends on no null-bearing relation (and not on the
-    /// active domain), so [`PreparedWorldQuery`] evaluated it **once** and
-    /// every per-world execution splices the stored rows in.
-    Cached {
-        /// Index into the [`PreparedWorldQuery`]'s hoisted-subplan list.
-        slot: usize,
-    },
 }
 
 impl PhysOp {
@@ -637,7 +627,6 @@ impl PhysOp {
             PhysOp::Divide(..) => "op:Divide",
             PhysOp::DomPower(_) => "op:DomPower",
             PhysOp::AntiSemiJoinUnify(..) => "op:AntiSemiJoinUnify",
-            PhysOp::Cached { .. } => "op:Cached",
         }
     }
 
@@ -721,12 +710,6 @@ impl PhysOp {
                 writeln!(f, "{pad}AntiSemiJoinUnify ⋉⇑")?;
                 l.render(f, indent + 1)?;
                 r.render(f, indent + 1)
-            }
-            PhysOp::Cached { slot } => {
-                writeln!(
-                    f,
-                    "{pad}Cached #{slot} (evaluated once, shared across worlds)"
-                )
             }
         }
     }
@@ -900,28 +883,6 @@ where
     S: Source<A>,
     H: FnMut(OpKind, AnnRel<A>) -> AnnRel<A>,
 {
-    execute_with_cache(op, source, hook, &[])
-}
-
-/// [`execute`] with a world-invariant cache resolving [`PhysOp::Cached`]
-/// slots (produced by [`PreparedWorldQuery::materialize`]). Plans without
-/// `Cached` nodes ignore the cache entirely.
-///
-/// # Errors
-///
-/// As [`execute`], plus an error when a `Cached` slot has no materialised
-/// entry.
-pub fn execute_with_cache<A, S, H>(
-    op: &PhysOp,
-    source: &S,
-    hook: &mut H,
-    cache: &[AnnRel<A>],
-) -> Result<AnnRel<A>>
-where
-    A: Annotation,
-    S: Source<A>,
-    H: FnMut(OpKind, AnnRel<A>) -> AnnRel<A>,
-{
     // Every operator is a cooperative governor boundary: an installed
     // budget can stop the plan between operators, and each output is
     // metered against the row budget below.
@@ -938,15 +899,6 @@ where
         None
     };
     let (kind, rel) = match op {
-        PhysOp::Cached { slot } => {
-            let rel = cache
-                .get(*slot)
-                .cloned()
-                .ok_or(AlgebraError::UnsupportedOperator(
-                    "cached subplan executed without a materialised world cache",
-                ))?;
-            (OpKind::Cached, rel)
-        }
         PhysOp::Scan { name, filter } => {
             let rel = source.scan(name, filter.as_ref())?;
             (
@@ -966,11 +918,11 @@ where
             (OpKind::Literal, rel)
         }
         PhysOp::Select(e, cond) => {
-            let input = execute_with_cache(e, source, hook, cache)?;
+            let input = execute(e, source, hook)?;
             (OpKind::Select, select_rel(input, cond))
         }
         PhysOp::Project(e, positions) => {
-            let input = execute_with_cache(e, source, hook, cache)?;
+            let input = execute(e, source, hook)?;
             let mut out = AnnRel::new(positions.len());
             for (t, a) in input.into_rows() {
                 out.push(t.project(positions), a);
@@ -986,8 +938,8 @@ where
             residual,
             on,
         } => {
-            let l = execute_with_cache(left, source, hook, cache)?;
-            let r = execute_with_cache(right, source, hook, cache)?;
+            let l = execute(left, source, hook)?;
+            let r = execute(right, source, hook)?;
             debug_assert_eq!(l.arity(), *left_arity);
             (
                 OpKind::Join,
@@ -995,8 +947,8 @@ where
             )
         }
         PhysOp::Product(le, re) => {
-            let l = execute_with_cache(le, source, hook, cache)?;
-            let r = execute_with_cache(re, source, hook, cache)?;
+            let l = execute(le, source, hook)?;
+            let r = execute(re, source, hook)?;
             let mut out = AnnRel::new(l.arity() + r.arity());
             for (lt, la) in l.rows() {
                 for (rt, ra) in r.rows() {
@@ -1006,32 +958,32 @@ where
             (OpKind::Product, out)
         }
         PhysOp::Union(le, re) => {
-            let mut l = execute_with_cache(le, source, hook, cache)?;
-            let r = execute_with_cache(re, source, hook, cache)?;
+            let mut l = execute(le, source, hook)?;
+            let r = execute(re, source, hook)?;
             for (t, a) in r.into_rows() {
                 l.push(t, a);
             }
             (OpKind::Union, l.merged())
         }
         PhysOp::Intersect(le, re) => {
-            let l = execute_with_cache(le, source, hook, cache)?;
-            let r = execute_with_cache(re, source, hook, cache)?;
+            let l = execute(le, source, hook)?;
+            let r = execute(re, source, hook)?;
             (OpKind::Intersect, A::intersect(l, &r))
         }
         PhysOp::Difference(le, re) => {
-            let l = execute_with_cache(le, source, hook, cache)?;
-            let r = execute_with_cache(re, source, hook, cache)?;
+            let l = execute(le, source, hook)?;
+            let r = execute(re, source, hook)?;
             (OpKind::Difference, A::difference(l, &r))
         }
         PhysOp::Divide(le, re) => {
-            let l = execute_with_cache(le, source, hook, cache)?;
-            let r = execute_with_cache(re, source, hook, cache)?;
+            let l = execute(le, source, hook)?;
+            let r = execute(re, source, hook)?;
             (OpKind::Divide, divide(l, &r)?)
         }
         PhysOp::DomPower(k) => (OpKind::DomPower, dom_power(source, *k)?),
         PhysOp::AntiSemiJoinUnify(le, re) => {
-            let l = execute_with_cache(le, source, hook, cache)?;
-            let r = execute_with_cache(re, source, hook, cache)?;
+            let l = execute(le, source, hook)?;
+            let r = execute(re, source, hook)?;
             (OpKind::AntiSemiJoinUnify, anti_unify(l, &r)?)
         }
     };
@@ -1171,12 +1123,13 @@ fn divide<A: Annotation>(left: AnnRel<A>, right: &AnnRel<A>) -> Result<AnnRel<A>
 /// The `Domᵏ` extended operator: all `k`-tuples over the source's active
 /// domain, annotated [`Annotation::one`].
 ///
-/// Rejects domains without [`Annotation::SUPPORTS_EXTENDED`].
+/// Rejects domains without [`Annotation::SUPPORTS_EXTENDED`], and a power
+/// whose size overflows `usize`.
 fn dom_power<A: Annotation, S: Source<A>>(source: &S, k: usize) -> Result<AnnRel<A>> {
     require_extended::<A>("Dom^k")?;
     let domain = source.active_domain();
     let mut out = AnnRel::new(k);
-    for t in crate::eval::dom_power_over(&domain, k) {
+    for t in crate::eval::dom_power_over(&domain, k)? {
         out.push(t, A::one());
     }
     Ok(out)
@@ -1261,10 +1214,9 @@ impl PreparedQuery {
     }
 
     /// [`PreparedQuery::prepare_optimized`] with per-relation statistics —
-    /// cardinalities feed the greedy join order and null presence makes the
-    /// order *world-aware*: null-free leaves cluster at the bottom of the
-    /// join tree so [`PreparedQuery::for_world_db`] can hoist a maximal
-    /// world-invariant prefix.
+    /// cardinalities feed the greedy join order and null presence clusters
+    /// null-free leaves at the bottom of the join tree (see
+    /// [`crate::opt`], rule 4).
     ///
     /// # Errors
     ///
@@ -1278,33 +1230,6 @@ impl PreparedQuery {
         Self::prepare(&optimized, schema)
     }
 
-    /// Split the plan for possible-world evaluation: every maximal subplan
-    /// that reads only *world-invariant* relations (per the predicate) and
-    /// never touches the active domain is hoisted out, to be evaluated
-    /// **once** by [`PreparedWorldQuery::materialize`] and spliced into all
-    /// per-world executions.
-    pub fn for_worlds(&self, invariant: impl Fn(&str) -> bool) -> PreparedWorldQuery {
-        let mut hoisted = Vec::new();
-        let plan = hoist(&self.plan, &invariant, &mut hoisted);
-        PreparedWorldQuery {
-            plan,
-            hoisted,
-            arity: self.arity,
-        }
-    }
-
-    /// [`PreparedQuery::for_worlds`] against a set database: a relation is
-    /// world-invariant exactly when it contains no marked nulls (then every
-    /// valuation scans it unchanged).
-    pub fn for_world_db(&self, db: &Database) -> PreparedWorldQuery {
-        self.for_worlds(|name| db.relation(name).is_ok_and(Relation::is_complete))
-    }
-
-    /// [`PreparedQuery::for_worlds`] against a bag database.
-    pub fn for_world_bags(&self, db: &BagDatabase) -> PreparedWorldQuery {
-        self.for_worlds(|name| db.relation(name).is_ok_and(BagRelation::is_complete))
-    }
-
     /// The output arity resolved at preparation time.
     pub fn arity(&self) -> usize {
         self.arity
@@ -1313,20 +1238,6 @@ impl PreparedQuery {
     /// The physical plan.
     pub fn plan(&self) -> &PhysOp {
         &self.plan
-    }
-
-    /// Execute the plan over a source with an explicit per-operator hook.
-    ///
-    /// # Errors
-    ///
-    /// As [`execute`].
-    pub fn execute_hooked<A, S, H>(&self, source: &S, hook: &mut H) -> Result<AnnRel<A>>
-    where
-        A: Annotation,
-        S: Source<A>,
-        H: FnMut(OpKind, AnnRel<A>) -> AnnRel<A>,
-    {
-        execute(&self.plan, source, hook)
     }
 
     /// Execute the plan over a source with the identity hook.
@@ -1388,265 +1299,6 @@ impl PreparedQuery {
     }
 
     fn collect_bag(&self, out: AnnRel<BagAnn>) -> Result<BagRelation> {
-        Ok(BagRelation::from_counted(
-            self.arity,
-            out.into_rows().into_iter().map(|(t, BagAnn(n))| (t, n)),
-        ))
-    }
-}
-
-/// `true` iff executing the subplan yields the same rows in every possible
-/// world: all scanned relations are invariant under valuations and the
-/// active domain (which varies with the valuation) is never consulted.
-/// Literals are invariant by construction — the engine never applies
-/// valuations to them.
-fn is_invariant(op: &PhysOp, invariant: &impl Fn(&str) -> bool) -> bool {
-    match op {
-        PhysOp::Scan { name, .. } => invariant(name),
-        PhysOp::Literal(_) | PhysOp::Cached { .. } => true,
-        PhysOp::DomPower(_) => false,
-        PhysOp::Select(e, _) | PhysOp::Project(e, _) => is_invariant(e, invariant),
-        PhysOp::HashJoin { left, right, .. } => {
-            is_invariant(left, invariant) && is_invariant(right, invariant)
-        }
-        PhysOp::Product(l, r)
-        | PhysOp::Union(l, r)
-        | PhysOp::Intersect(l, r)
-        | PhysOp::Difference(l, r)
-        | PhysOp::Divide(l, r)
-        | PhysOp::AntiSemiJoinUnify(l, r) => {
-            is_invariant(l, invariant) && is_invariant(r, invariant)
-        }
-    }
-}
-
-/// Whether hoisting the subplan actually saves per-world work: leaves
-/// (scans without filters, literals) cost the same to re-scan as to clone,
-/// so only operator nodes (including filtered scans, whose condition
-/// evaluation is saved) are worth a cache slot.
-fn worth_hoisting(op: &PhysOp) -> bool {
-    !matches!(
-        op,
-        PhysOp::Scan { filter: None, .. } | PhysOp::Literal(_) | PhysOp::Cached { .. }
-    )
-}
-
-/// Replace maximal invariant subplans by [`PhysOp::Cached`] slots, pushing
-/// the originals into `hoisted`.
-fn hoist(op: &PhysOp, invariant: &impl Fn(&str) -> bool, hoisted: &mut Vec<PhysOp>) -> PhysOp {
-    if is_invariant(op, invariant) && worth_hoisting(op) {
-        hoisted.push(op.clone());
-        return PhysOp::Cached {
-            slot: hoisted.len() - 1,
-        };
-    }
-    match op {
-        PhysOp::Scan { .. } | PhysOp::Literal(_) | PhysOp::DomPower(_) | PhysOp::Cached { .. } => {
-            op.clone()
-        }
-        PhysOp::Select(e, cond) => {
-            PhysOp::Select(Box::new(hoist(e, invariant, hoisted)), cond.clone())
-        }
-        PhysOp::Project(e, positions) => {
-            PhysOp::Project(Box::new(hoist(e, invariant, hoisted)), positions.clone())
-        }
-        PhysOp::HashJoin {
-            left,
-            right,
-            left_arity,
-            pairs,
-            wildcard,
-            residual,
-            on,
-        } => PhysOp::HashJoin {
-            left: Box::new(hoist(left, invariant, hoisted)),
-            right: Box::new(hoist(right, invariant, hoisted)),
-            left_arity: *left_arity,
-            pairs: pairs.clone(),
-            wildcard: wildcard.clone(),
-            residual: residual.clone(),
-            on: on.clone(),
-        },
-        PhysOp::Product(l, r) => PhysOp::Product(
-            Box::new(hoist(l, invariant, hoisted)),
-            Box::new(hoist(r, invariant, hoisted)),
-        ),
-        PhysOp::Union(l, r) => PhysOp::Union(
-            Box::new(hoist(l, invariant, hoisted)),
-            Box::new(hoist(r, invariant, hoisted)),
-        ),
-        PhysOp::Intersect(l, r) => PhysOp::Intersect(
-            Box::new(hoist(l, invariant, hoisted)),
-            Box::new(hoist(r, invariant, hoisted)),
-        ),
-        PhysOp::Difference(l, r) => PhysOp::Difference(
-            Box::new(hoist(l, invariant, hoisted)),
-            Box::new(hoist(r, invariant, hoisted)),
-        ),
-        PhysOp::Divide(l, r) => PhysOp::Divide(
-            Box::new(hoist(l, invariant, hoisted)),
-            Box::new(hoist(r, invariant, hoisted)),
-        ),
-        PhysOp::AntiSemiJoinUnify(l, r) => PhysOp::AntiSemiJoinUnify(
-            Box::new(hoist(l, invariant, hoisted)),
-            Box::new(hoist(r, invariant, hoisted)),
-        ),
-    }
-}
-
-/// A prepared query split for possible-world evaluation: the residual plan
-/// (with [`PhysOp::Cached`] slots) plus the hoisted *null-independent*
-/// subplans.
-///
-/// The split realises the evaluate-once contract of the null-aware
-/// optimizer: a subplan whose reachable base relations contain no marked
-/// nulls produces identical rows in every world `v(D)`, so it is evaluated
-/// **once** on the base database ([`PreparedWorldQuery::materialize_set`] /
-/// [`PreparedWorldQuery::materialize_bag`]) and the stored rows are spliced
-/// into each of the (often 10⁴+) per-world executions. When the *whole*
-/// plan is invariant — the query never touches an incomplete relation —
-/// per-world execution degenerates to returning the cached result.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PreparedWorldQuery {
-    plan: PhysOp,
-    hoisted: Vec<PhysOp>,
-    arity: usize,
-}
-
-impl PreparedWorldQuery {
-    /// The output arity.
-    pub fn arity(&self) -> usize {
-        self.arity
-    }
-
-    /// The residual plan executed per world.
-    pub fn plan(&self) -> &PhysOp {
-        &self.plan
-    }
-
-    /// The hoisted subplans, in cache-slot order.
-    pub fn hoisted_plans(&self) -> &[PhysOp] {
-        &self.hoisted
-    }
-
-    /// Number of hoisted subplans.
-    pub fn hoisted_count(&self) -> usize {
-        self.hoisted.len()
-    }
-
-    /// `true` iff the entire plan is world-invariant (the per-world
-    /// execution just returns the cached result).
-    pub fn fully_invariant(&self) -> bool {
-        matches!(self.plan, PhysOp::Cached { .. })
-    }
-
-    /// Evaluate every hoisted subplan once over a source, producing the
-    /// cache the per-world executions splice in. The source must present
-    /// the *base* database (not a world): hoisted subplans only read
-    /// world-invariant relations, on which base and world scans agree.
-    ///
-    /// # Errors
-    ///
-    /// As [`execute`].
-    pub fn materialize<A, S>(&self, source: &S) -> Result<Vec<AnnRel<A>>>
-    where
-        A: Annotation,
-        S: Source<A>,
-    {
-        self.hoisted
-            .iter()
-            .map(|op| execute(op, source, &mut identity_hook))
-            .collect()
-    }
-
-    /// [`PreparedWorldQuery::materialize`] under set semantics.
-    ///
-    /// # Errors
-    ///
-    /// As [`execute`].
-    pub fn materialize_set(&self, db: &Database) -> Result<Vec<AnnRel<SetAnn>>> {
-        self.materialize(&SetSource(db))
-    }
-
-    /// [`PreparedWorldQuery::materialize`] under bag semantics.
-    ///
-    /// # Errors
-    ///
-    /// As [`execute`].
-    pub fn materialize_bag(&self, db: &BagDatabase) -> Result<Vec<AnnRel<BagAnn>>> {
-        self.materialize(&BagSource(db))
-    }
-
-    /// Execute the residual plan over a source, splicing the cache into
-    /// [`PhysOp::Cached`] slots.
-    ///
-    /// # Errors
-    ///
-    /// As [`execute_with_cache`].
-    pub fn execute_on<A, S>(&self, source: &S, cache: &[AnnRel<A>]) -> Result<AnnRel<A>>
-    where
-        A: Annotation,
-        S: Source<A>,
-    {
-        execute_with_cache(&self.plan, source, &mut identity_hook, cache)
-    }
-
-    /// The cache entry backing the whole plan, when it is fully invariant —
-    /// the evaluation short-circuit used by the world entry points below to
-    /// skip the engine (and the per-world deep clone of the cached rows).
-    fn cached_root<'c, A: Annotation>(&self, cache: &'c [AnnRel<A>]) -> Option<&'c AnnRel<A>> {
-        match self.plan {
-            PhysOp::Cached { slot } => cache.get(slot),
-            _ => None,
-        }
-    }
-
-    /// Evaluate on the world `v(D)` under set semantics, reusing the
-    /// materialised cache. A fully invariant plan never enters the engine:
-    /// the output is built straight off the borrowed cache rows.
-    ///
-    /// # Errors
-    ///
-    /// As [`execute_with_cache`].
-    pub fn eval_set_world(
-        &self,
-        db: &Database,
-        valuation: &Valuation,
-        cache: &[AnnRel<SetAnn>],
-    ) -> Result<Relation> {
-        if let Some(rows) = self.cached_root(cache) {
-            return Ok(Relation::with_arity(
-                self.arity,
-                rows.rows().iter().map(|(t, _)| t.clone()),
-            ));
-        }
-        let out = self.execute_on(&ValuationSource::new(db, valuation), cache)?;
-        Ok(Relation::with_arity(
-            self.arity,
-            out.into_rows().into_iter().map(|(t, _)| t),
-        ))
-    }
-
-    /// Evaluate on the world `v(D)` under bag semantics, reusing the
-    /// materialised cache. A fully invariant plan never enters the engine:
-    /// the output is built straight off the borrowed cache rows.
-    ///
-    /// # Errors
-    ///
-    /// As [`execute_with_cache`].
-    pub fn eval_bag_world(
-        &self,
-        db: &BagDatabase,
-        valuation: &Valuation,
-        cache: &[AnnRel<BagAnn>],
-    ) -> Result<BagRelation> {
-        if let Some(rows) = self.cached_root(cache) {
-            return Ok(BagRelation::from_counted(
-                self.arity,
-                rows.rows().iter().map(|(t, BagAnn(n))| (t.clone(), *n)),
-            ));
-        }
-        let out = self.execute_on(&BagValuationSource::new(db, valuation), cache)?;
         Ok(BagRelation::from_counted(
             self.arity,
             out.into_rows().into_iter().map(|(t, BagAnn(n))| (t, n)),
@@ -1745,12 +1397,6 @@ pub fn delta_profile(op: &PhysOp) -> DeltaProfile {
                 walk(r, p);
             }
             PhysOp::DomPower(_) => p.uses_dom_power = true,
-            // An opaque hoisted slot: its sources are invisible here, so
-            // nothing incremental can be said about the plan.
-            PhysOp::Cached { .. } => {
-                p.monotone = false;
-                p.uses_dom_power = true;
-            }
         }
     }
     let mut p = DeltaProfile {

@@ -51,7 +51,7 @@ pub fn eval_set_reference(expr: &RaExpr, db: &Database) -> Result<Relation> {
             let divisor = eval_set_reference(r, db)?;
             Ok(crate::eval::divide(&dividend, &divisor))
         }
-        RaExpr::DomPower(k) => Ok(crate::eval::dom_power(db, *k)),
+        RaExpr::DomPower(k) => crate::eval::dom_power(db, *k),
         RaExpr::AntiSemiJoinUnify(l, r) => {
             let left = eval_set_reference(l, db)?;
             let right = eval_set_reference(r, db)?;
@@ -100,7 +100,7 @@ pub fn eval_bag_reference(expr: &RaExpr, db: &BagDatabase) -> Result<BagRelation
         RaExpr::DomPower(k) => {
             let domain: Vec<Value> = db.active_domain().into_iter().collect();
             let mut out = BagRelation::empty(*k);
-            for t in crate::eval::dom_power_over(&domain, *k) {
+            for t in crate::eval::dom_power_over(&domain, *k)? {
                 out.insert(t);
             }
             Ok(out)

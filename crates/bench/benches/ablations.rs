@@ -55,12 +55,12 @@ fn a02_dom_product(c: &mut Criterion) {
     .generate();
     let mut group = c.benchmark_group("a02_dom_product");
     group.bench_function("materialise_dom_squared", |b| {
-        b.iter(|| certa::algebra::eval::dom_power(&db, 2))
+        b.iter(|| certa::algebra::eval::dom_power(&db, 2).unwrap())
     });
     group.bench_function("stream_dom_via_antisemijoin", |b| {
         b.iter(|| {
             let orders = db.relation("Orders").unwrap().project(&[0, 1]);
-            let dom = certa::algebra::eval::dom_power(&db, 2);
+            let dom = certa::algebra::eval::dom_power(&db, 2).unwrap();
             certa::algebra::eval::anti_semijoin_unify(&dom, &orders)
         })
     });

@@ -76,7 +76,7 @@ pub mod prelude {
     pub use certa_algebra::governor::{CancelToken, ExecBudget, Governor};
     pub use certa_algebra::{
         classify, eval, naive_eval, optimize, optimize_with, Condition, Fragment, PreparedQuery,
-        PreparedWorldQuery, QueryBuilder, RaExpr, Stats,
+        QueryBuilder, RaExpr, Stats,
     };
     pub use certa_certain::{
         almost_certainly_true, cert_intersection, cert_with_nulls, cert_with_nulls_lineage,

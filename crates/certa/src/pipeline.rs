@@ -455,9 +455,9 @@ struct ExactState {
 struct MaskState {
     spec: certa_certain::WorldSpec,
     /// Re-optimized **per instance** with [`Stats::from_database`] (the
-    /// schema-level `plain` plan stays cached separately): hoists and
-    /// null-dependence are instance properties and must not leak across
-    /// epochs or instances.
+    /// schema-level `plain` plan stays cached separately): cardinalities
+    /// and null-dependence are instance properties and must not leak
+    /// across epochs or instances.
     prepared: PreparedQuery,
     profile: DeltaProfile,
     batch: MaskBatch,
@@ -1085,7 +1085,7 @@ impl Pipeline {
             // The optimizer is on by default: every scheme executes the
             // rewritten plan. Only schema-level statistics are available
             // here (the cache is per query/schema, not per instance);
-            // instance-dependent derivations — hoists, null-dependence, the
+            // instance-dependent derivations — null-dependence and the
             // instance-statistics re-optimization of the mask backend —
             // live in the per-instance `ExactState`, re-derived per epoch.
             let optimized = optimize(&lowered.expr, schema)?;
@@ -1265,11 +1265,10 @@ impl Pipeline {
         })
     }
 
-    /// Compile `sql` (or reuse the cache) and report what the optimizer and
-    /// the world-evaluation split did with it: the lowered expression
-    /// before and after rewriting, the physical plan, the subplans hoisted
-    /// as world-invariant **for this database instance**, and the plan
-    /// cache statistics.
+    /// Compile `sql` (or reuse the cache) and report what the optimizer did
+    /// with it and which exact backend answers it **for this database
+    /// instance**: the lowered expression before and after rewriting, the
+    /// physical plan, the backend choice, and the plan cache statistics.
     ///
     /// The [`BackendChoice`] is a dry run of [`Pipeline::execute`]'s walk
     /// over the same rungs: each rung is probed instead of run — lineage by
@@ -1282,7 +1281,6 @@ impl Pipeline {
     /// Returns an error for malformed SQL or ill-formed lowered queries.
     pub fn explain(&mut self, sql: &str, db: &Database) -> Result<Explain> {
         let entry = self.entry(sql, db.schema())?;
-        let world = entry.plain.for_world_db(db);
         let spec = certa_certain::worlds::exact_pool(&entry.lowered.expr, db);
         let (rungs, mut reason) = rungs(&spec, db);
         let mut boundary = None;
@@ -1352,12 +1350,6 @@ impl Pipeline {
             logical_before: entry.lowered.expr.to_string(),
             logical_after: entry.optimized.to_string(),
             physical: entry.plain.plan().to_string(),
-            hoisted: world
-                .hoisted_plans()
-                .iter()
-                .map(ToString::to_string)
-                .collect(),
-            fully_invariant: world.fully_invariant(),
             worlds: spec.world_count(db),
             backend,
             cache_hits: hits,
@@ -1540,7 +1532,7 @@ impl fmt::Display for ExplainAnalyze {
 }
 
 /// The report produced by [`Pipeline::explain`]: how a query reaches the
-/// engine, and which parts of it are evaluated once rather than per world.
+/// engine, and which exact backend answers it on the given instance.
 #[derive(Debug, Clone)]
 pub struct Explain {
     /// The SQL text.
@@ -1553,11 +1545,6 @@ pub struct Explain {
     pub logical_after: String,
     /// The physical plan (hash joins, scan-pushed filters) actually cached.
     pub physical: String,
-    /// Rendered world-invariant subplans hoisted for the given database:
-    /// each is evaluated once and spliced into every per-world execution.
-    pub hoisted: Vec<String>,
-    /// `true` when the *entire* plan is world-invariant on this database.
-    pub fully_invariant: bool,
     /// Possible worlds of this database under the exact constant pool.
     pub worlds: usize,
     /// Which exact backend answers [`Scheme::Exact`] on this instance, and
@@ -1643,26 +1630,6 @@ impl fmt::Display for Explain {
                 stats.arena_words,
                 stats.arena_words * 8
             )?;
-        }
-        if self.hoisted.is_empty() {
-            writeln!(f, "hoisted world-invariant subplans: none")?;
-        } else {
-            writeln!(
-                f,
-                "hoisted world-invariant subplans ({}{}):",
-                self.hoisted.len(),
-                if self.fully_invariant {
-                    ", whole plan"
-                } else {
-                    ""
-                }
-            )?;
-            for (i, sub) in self.hoisted.iter().enumerate() {
-                writeln!(f, "  slot #{i} — evaluated once, shared by all worlds:")?;
-                for line in sub.lines() {
-                    writeln!(f, "    {line}")?;
-                }
-            }
         }
         writeln!(f, "instance epoch: {}", self.instance_epoch)?;
         match &self.durability {

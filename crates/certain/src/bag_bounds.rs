@@ -53,16 +53,13 @@ pub fn multiplicity_range_with(
 ) -> Result<(usize, usize)> {
     let stats = certa_algebra::Stats::from_bag_database(db);
     let prepared = PreparedQuery::prepare_optimized_with(query, db.schema(), &stats)?;
-    let world_query = prepared.for_world_bags(db);
-    let cache = world_query.materialize_bag(db)?;
     let set_view = db.to_sets();
     let engine = WorldEngine::new(&set_view, spec)?;
     let range = engine.map_reduce(
         |v| {
             // Zero-copy bag world: collapsing multiplicities are added
-            // during the scan, matching `BagDatabase::map_values_add`, and
-            // null-independent subplans come from the shared cache.
-            let answer = world_query.eval_bag_world(db, v, &cache)?;
+            // during the scan, matching `BagDatabase::map_values_add`.
+            let answer = prepared.eval_bag_world(db, v)?;
             let m = answer.multiplicity(&v.apply_tuple(tuple));
             Ok((m, m))
         },

@@ -16,63 +16,54 @@
 //! by [`crate::worlds::WorldEngine`]. The seed's replan-per-world loops
 //! survive in [`crate::reference`] as oracles.
 //!
-//! Since the optimizer refactor the per-batch compilation goes further:
-//! the query is rewritten by the **null-aware logical optimizer**
-//! ([`certa_algebra::opt`]) with statistics read off the instance
-//! (cardinalities + which relations actually hold nulls, so the join order
-//! clusters null-free relations), and the prepared plan is split on
-//! null-dependence: maximal subplans that read only complete relations are
-//! evaluated **once** (`WorldBatch`) and the materialised rows are
-//! spliced into every per-world execution.
+//! Each batch compiles the query once (`WorldBatch`): the **null-aware
+//! logical optimizer** ([`certa_algebra::opt`]) rewrites it with
+//! statistics read off the instance (cardinalities, and which relations
+//! actually hold nulls), and every world runs that one prepared plan.
 
 use crate::worlds::{exact_pool, WorldEngine, WorldSpec};
 use crate::Result;
-use certa_algebra::physical::SetSource;
-use certa_algebra::{
-    naive_eval, AnnRel, PreparedQuery, PreparedWorldQuery, RaExpr, SetAnn, Stats, ValuationSource,
-};
+use certa_algebra::{naive_eval, AnnRel, PreparedQuery, RaExpr, SetAnn, Stats, ValuationSource};
 use certa_data::{Database, Relation, Tuple, Valuation};
+use std::borrow::Cow;
 
 /// Everything a world batch needs per `(query, database)` pair: the
-/// optimised plan split on null-dependence, plus the materialised
-/// world-invariant cache. Built once per batch; shared read-only across the
-/// [`WorldEngine`]'s worker threads.
+/// prepared plan and the database its worlds are drawn from. Built once
+/// per batch; shared read-only across the [`WorldEngine`]'s worker
+/// threads.
 pub(crate) struct WorldBatch<'a> {
     db: &'a Database,
-    query: PreparedWorldQuery,
-    cache: Vec<AnnRel<SetAnn>>,
+    query: Cow<'a, PreparedQuery>,
 }
 
 impl<'a> WorldBatch<'a> {
-    /// Optimize (with instance statistics), plan, split and materialise.
+    /// Optimize (with instance statistics) and plan.
     pub(crate) fn compile(query: &RaExpr, db: &'a Database) -> Result<WorldBatch<'a>> {
         let stats = Stats::from_database(db);
         let prepared = PreparedQuery::prepare_optimized_with(query, db.schema(), &stats)?;
-        Self::from_prepared(&prepared, db)
+        Ok(WorldBatch {
+            db,
+            query: Cow::Owned(prepared),
+        })
     }
 
-    /// Split and materialise an already-prepared plan (used by callers that
-    /// cache the [`PreparedQuery`], like `certa::Pipeline`).
-    pub(crate) fn from_prepared(
-        prepared: &PreparedQuery,
-        db: &'a Database,
-    ) -> Result<WorldBatch<'a>> {
-        let query = prepared.for_world_db(db);
-        let cache = query.materialize(&SetSource(db))?;
-        Ok(WorldBatch { db, query, cache })
+    /// A batch over an already-prepared plan.
+    fn from_prepared(prepared: &'a PreparedQuery, db: &'a Database) -> WorldBatch<'a> {
+        WorldBatch {
+            db,
+            query: Cow::Borrowed(prepared),
+        }
     }
 
-    /// The engine rows of the query on the world `v(D)`, with hoisted
-    /// subplans spliced from the cache — no world is materialised.
+    /// The engine rows of the query on the world `v(D)` — no world is
+    /// materialised.
     fn rows(&self, v: &Valuation) -> Result<AnnRel<SetAnn>> {
-        Ok(self
-            .query
-            .execute_on(&ValuationSource::new(self.db, v), &self.cache)?)
+        Ok(self.query.execute_on(&ValuationSource::new(self.db, v))?)
     }
 
     /// The answer relation on the world `v(D)`.
     pub(crate) fn answer(&self, v: &Valuation) -> Result<Relation> {
-        Ok(self.query.eval_set_world(self.db, v, &self.cache)?)
+        Ok(self.query.eval_set_world(self.db, v)?)
     }
 
     /// The output arity.
@@ -236,10 +227,11 @@ fn world_hit(answer: &std::collections::HashSet<&Tuple>, v: &Valuation, t: &Tupl
 /// Classify candidate tuples against all possible worlds in a **single**
 /// enumeration, using an already-prepared plan: for each candidate, whether
 /// it is certain (in every world's answer) and whether it is possible (in
-/// some world's answer). `certa::Pipeline` uses this for its exact scheme,
-/// reusing its cached [`PreparedQuery`] so nothing is re-planned per
-/// request and the certain/possible/certainly-false labels all come out of
-/// one pass over the worlds.
+/// some world's answer). A caller that caches its [`PreparedQuery`]
+/// re-plans nothing, and the certain/possible/certainly-false labels all
+/// come out of one pass over the worlds. This is the ground truth the
+/// world-mask ([`crate::mask::classify_candidates_mask`]) and lineage
+/// ([`classify_candidates_lineage`]) classifiers are tested against.
 ///
 /// A candidate stops being checked once both bits are settled (refuted for
 /// certainty, witnessed for possibility); the fold is thread-count
@@ -254,7 +246,7 @@ pub fn classify_candidates(
     spec: &WorldSpec,
     tuples: &[Tuple],
 ) -> Result<Vec<CandidateStatus>> {
-    let batch = WorldBatch::from_prepared(prepared, db)?;
+    let batch = WorldBatch::from_prepared(prepared, db);
     let engine = WorldEngine::new(db, spec)?;
     // Accumulator bit pairs: (in every world so far, in some world so far).
     let out = engine.fold_reduce(

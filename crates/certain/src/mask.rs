@@ -79,8 +79,8 @@ impl MaskBatch {
 
     /// [`MaskBatch::compile`] for an already-prepared plan (used by callers
     /// that cache the [`PreparedQuery`], like `certa::Pipeline`). The plan
-    /// is annotation-generic, so the same cached plan the enumeration
-    /// backend executes per world runs here once, columnar.
+    /// is annotation-generic: the plan world enumeration runs once per
+    /// world runs here once, columnar.
     ///
     /// # Errors
     ///
@@ -388,8 +388,8 @@ pub fn cert_with_nulls_mask_with(
 /// possible bits of every candidate, all read off one plan execution
 /// (where [`crate::cert::classify_candidates`] re-executes the plan per
 /// world), with the per-candidate aggregation morsel-parallel over the
-/// spec's worker pool. Same signature as the enumeration classifier so
-/// `certa::Pipeline` can dispatch between them per instance.
+/// spec's worker pool. Same signature and statuses as the enumeration
+/// classifier, which serves as its oracle.
 ///
 /// # Errors
 ///

@@ -103,8 +103,7 @@ pub fn canonical_pool(query: &RaExpr, db: &Database, k: usize) -> Vec<Const> {
 /// `k` constants that witness `ā` being an answer.
 ///
 /// The query is optimised (null-aware, with instance statistics) and
-/// prepared once, its null-independent subplans are materialised a single
-/// time, and each valuation is evaluated zero-copy through a
+/// prepared once, and each valuation is evaluated zero-copy through a
 /// [`certa_algebra::ValuationSource`], with the valuation space chunked
 /// across worker threads — no possible world is materialised.
 ///

@@ -186,12 +186,7 @@ fn all_valuations_owned(
 /// [`certa_algebra::PreparedQuery`] over a
 /// [`certa_algebra::ValuationSource`], so no possible world is ever
 /// materialised: the base database is shared read-only across workers and
-/// nulls are substituted during scans. Since the optimizer refactor the
-/// plan is additionally split on *null-dependence*
-/// ([`certa_algebra::PreparedWorldQuery`]): subplans reading only complete
-/// relations are evaluated once, before the engine starts, and every
-/// worker splices the shared materialised rows into its per-world
-/// executions instead of recomputing them world after world.
+/// nulls are substituted during scans.
 pub struct WorldEngine<'a> {
     db: &'a Database,
     pool: &'a [Const],

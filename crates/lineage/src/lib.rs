@@ -40,8 +40,9 @@
 //!   monus-free fragment.
 //!
 //! `certa-certain` builds the `*_lineage` entry points on top of this
-//! crate, and `certa::Pipeline` dispatches between enumeration (few
-//! worlds) and lineage (beyond a threshold) per instance.
+//! crate. `certa::Pipeline` answers exact requests with the world-mask
+//! pass or with lineage: per instance, mask goes first up to a world-count
+//! threshold, lineage beyond it, and lineage alone past the world bound.
 
 pub mod bag;
 pub mod batch;

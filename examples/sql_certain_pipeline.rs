@@ -4,8 +4,7 @@
 //! database (with its NULL perturbation) under every evaluation scheme the
 //! pipeline offers, showing how each labels the answers, how the compiled
 //! plan is reused across requests, and — via `Pipeline::explain` — what the
-//! null-aware optimizer rewrote and which subplans it evaluates once
-//! instead of once per possible world.
+//! null-aware optimizer rewrote and which exact backend answers the query.
 //!
 //! Run with: `cargo run --example sql_certain_pipeline`
 
@@ -32,11 +31,8 @@ fn main() {
 
     let mut pipeline = Pipeline::new();
 
-    // What the optimizer did with the query, and which subplans are
-    // world-invariant on this database (evaluated once, shared by every
-    // possible world). Orders is null-free here, so the anti-join's
-    // subquery side hoists; the Payments scan, which carries the ⊥, stays
-    // in the per-world plan.
+    // What the optimizer did with the query, and which exact backend
+    // answers it on this database, and why.
     let explain = pipeline.explain(sql, &db).expect("explain");
     println!("{explain}\n");
 
@@ -44,7 +40,7 @@ fn main() {
     let naive = pipeline.query(sql, &db).expect("plain evaluation");
     println!("plain (nulls as values): {naive}\n");
 
-    // Exact certain answers by (prepared, parallel) world enumeration.
+    // Exact certain answers, from the backend `explain` named above.
     let exact = pipeline
         .execute(sql, &db, Scheme::Exact)
         .expect("exact scheme");

@@ -34,7 +34,7 @@ use certa::PipelineError;
 fn preorder<'a>(op: &'a PhysOp, out: &mut Vec<&'a PhysOp>) {
     out.push(op);
     match op {
-        PhysOp::Scan { .. } | PhysOp::Literal(_) | PhysOp::DomPower(_) | PhysOp::Cached { .. } => {}
+        PhysOp::Scan { .. } | PhysOp::Literal(_) | PhysOp::DomPower(_) => {}
         PhysOp::Select(e, _) | PhysOp::Project(e, _) => preorder(e, out),
         PhysOp::HashJoin { left, right, .. } => {
             preorder(left, out);

@@ -22,9 +22,8 @@ const THREADS: [usize; 3] = [1, 2, 16];
 
 /// A small database with join-friendly shapes and repeated nulls — small
 /// enough that exact_pool world enumeration stays in the hundreds. The
-/// third relation `T` is always **complete** (null-free): queries touching
-/// it give the null-aware optimizer genuinely world-invariant subplans to
-/// hoist, so this suite also exercises the evaluate-once cache splicing.
+/// third relation `T` is always **complete** (null-free), so the
+/// null-aware optimizer's leaf ordering has null-free leaves to cluster.
 fn gen_database(rng: &mut StdRng) -> Database {
     let mut r: Vec<Tuple> = Vec::new();
     for _ in 0..rng.gen_range(1usize..5) {
@@ -109,16 +108,35 @@ fn tuple_certainty_predicates_agree_with_seed() {
             .collect();
         let arity = query.arity(db.schema()).unwrap();
         candidates.push(Tuple::new((0..arity).map(|_| Value::int(99))));
+        let mut expected = Vec::with_capacity(candidates.len());
         for t in &candidates {
+            let certain = reference::is_certain_answer_seed(&query, &db, t).unwrap();
+            let certainly_false = reference::is_certainly_false_seed(&query, &db, t).unwrap();
             assert_eq!(
                 is_certain_answer(&query, &db, t).unwrap(),
-                reference::is_certain_answer_seed(&query, &db, t).unwrap(),
+                certain,
                 "seed {seed}: certainty of {t} for {query} on {db}"
             );
             assert_eq!(
                 is_certainly_false(&query, &db, t).unwrap(),
-                reference::is_certainly_false_seed(&query, &db, t).unwrap(),
+                certainly_false,
                 "seed {seed}: certain falsity of {t} for {query} on {db}"
+            );
+            expected.push(cert::CandidateStatus {
+                certain,
+                possible: !certainly_false,
+            });
+        }
+        // The one-pass classifier, with its settled-candidate skip and
+        // absorbing early exit, at every worker count.
+        let stats = Stats::from_database(&db);
+        let prepared = PreparedQuery::prepare_optimized_with(&query, db.schema(), &stats).unwrap();
+        for threads in THREADS {
+            let spec = exact_pool(&query, &db).with_threads(threads);
+            assert_eq!(
+                cert::classify_candidates(&prepared, &db, &spec, &candidates).unwrap(),
+                expected,
+                "seed {seed}, {threads} threads: statuses of {candidates:?} for {query} on {db}"
             );
         }
         let pool = Relation::with_arity(arity, candidates);
@@ -225,59 +243,32 @@ fn bag_multiplicity_range_agrees_with_seed() {
 }
 
 #[test]
-fn hoisted_world_evaluation_matches_plain_prepared_and_seed_evaluation() {
-    // The evaluate-once split: for every world, the hoisted plan (cache
-    // spliced in) must produce exactly the rows of (a) the same optimized
-    // plan executed without hoisting and (b) the seed's eval() on the
-    // materialised world. Across the whole suite, hoisting must actually
-    // trigger — null-free T-subplans exist by construction.
+fn prepared_world_evaluation_matches_seed_evaluation() {
+    // For every world, the instance-optimized prepared plan run over a
+    // `ValuationSource` must produce exactly the rows of the seed's eval()
+    // on the materialised world.
     use certa::certain::worlds::enumerate_worlds;
-    let mut hoisted_total = 0usize;
-    let mut fully_invariant = 0usize;
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(211) + 9);
         let db = gen_database(&mut rng);
         let query = gen_query(&mut rng, db.schema());
         let stats = Stats::from_database(&db);
         let prepared = PreparedQuery::prepare_optimized_with(&query, db.schema(), &stats).unwrap();
-        let world_query = prepared.for_world_db(&db);
-        let cache = world_query
-            .materialize(&certa::algebra::physical::SetSource(&db))
-            .unwrap();
-        hoisted_total += world_query.hoisted_count();
-        fully_invariant += usize::from(world_query.fully_invariant());
         let spec = exact_pool(&query, &db);
         for (v, world) in enumerate_worlds(&db, &spec).unwrap().take(40) {
-            let hoisted = world_query.eval_set_world(&db, &v, &cache).unwrap();
-            let plain = prepared.eval_set_world(&db, &v).unwrap();
-            let oracle = eval(&query, &world).unwrap();
             assert_eq!(
-                hoisted, plain,
-                "seed {seed}: hoisted vs plain prepared on world {v} for {query}"
-            );
-            assert_eq!(
-                hoisted, oracle,
-                "seed {seed}: hoisted vs seed eval on world {v} for {query}"
+                prepared.eval_set_world(&db, &v).unwrap(),
+                eval(&query, &world).unwrap(),
+                "seed {seed}: prepared vs seed eval on world {v} for {query}"
             );
         }
     }
-    assert!(
-        hoisted_total > 0,
-        "no subplan was ever hoisted across {CASES} random cases"
-    );
-    // Queries that never touch R or S are entirely world-invariant; the
-    // generator produces some.
-    assert!(
-        fully_invariant > 0,
-        "no fully world-invariant plan across {CASES} random cases"
-    );
 }
 
 #[test]
-fn pipeline_exact_scheme_is_thread_count_invariant_via_spec_default() {
-    // The pipeline's exact scheme goes through cert_with_nulls with the
-    // default (auto) parallelism; its answers must match a single-threaded
-    // run of the same spec.
+fn cert_with_nulls_is_thread_count_invariant_via_spec_default() {
+    // cert_with_nulls runs with the default (auto) parallelism; its answers
+    // must match a single-threaded run of the same spec.
     for seed in 0..20 {
         let mut rng = StdRng::seed_from_u64(seed + 400);
         let db = gen_database(&mut rng);
