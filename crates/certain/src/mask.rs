@@ -79,7 +79,7 @@ impl MaskBatch {
 
     /// [`MaskBatch::compile`] for an already-prepared plan (used by callers
     /// that cache the [`PreparedQuery`], like `certa::Pipeline`). The plan
-    /// is annotation-generic: the plan world enumeration runs once per
+    /// is annotation-generic: the plan that world enumeration runs once per
     /// world runs here once, columnar.
     ///
     /// # Errors

@@ -259,7 +259,8 @@ pub fn mu_k_with_constraints(
 
 /// Monte-Carlo estimate of `µ_k(Q | Σ, D, ā)` using `samples` random
 /// valuations (valuations that fail the constraints are rejected and do not
-/// count towards the denominator).
+/// count towards the denominator). At `k = 0` a database with a null has no
+/// valuation to sample, and the estimate is 0/0, as [`mu_k`] reports.
 ///
 /// # Errors
 ///
@@ -276,6 +277,12 @@ pub fn mu_k_sampled(
     let batch = crate::cert::WorldBatch::compile(query, db)?;
     let pool = canonical_pool(query, db, k);
     let nulls: Vec<_> = db.nulls().into_iter().collect();
+    if pool.is_empty() && !nulls.is_empty() {
+        return Ok(Fraction {
+            numerator: 0,
+            denominator: 0,
+        });
+    }
     let mut numerator = 0usize;
     let mut denominator = 0usize;
     for _ in 0..samples {
@@ -458,6 +465,19 @@ mod tests {
             (exact - sampled).abs() < 0.05,
             "exact {exact} vs sampled {sampled}"
         );
+    }
+
+    #[test]
+    fn sampled_at_k_zero_matches_exact() {
+        // With k = 0 there are no constants to draw from, so a database
+        // with a null has no valuations: both give 0/0.
+        let d = database_from_literal([("R", vec!["a"], vec![tup![1], tup![Value::null(0)]])]);
+        let q = RaExpr::rel("R");
+        let mut rng = StdRng::seed_from_u64(7);
+        let exact = mu_k(&q, &d, &tup![1], 0).unwrap();
+        let sampled = mu_k_sampled(&q, &d, &tup![1], 0, &[], 100, &mut rng).unwrap();
+        assert_eq!(sampled, exact);
+        assert_eq!(exact.denominator, 0);
     }
 
     #[test]

@@ -1,20 +1,29 @@
 //! Incomplete relational database instances.
 //!
-//! Beyond schema + relations, every database carries an **identity layer**
+//! One type, [`Instance`], holds a database under either reading the
+//! survey uses: a [`Database`] holds set-semantics [`Relation`]s and a
+//! [`BagDatabase`] holds bag-semantics [`BagRelation`]s. The sealed
+//! [`RelationKind`] trait carries what differs between the two kinds: the
+//! on-disk tags and relation codec, and how an insert, a delete or a tuple
+//! mapping applies to a relation. The identity layer, the delta log and
+//! the durability attachment are written once, for both.
+//!
+//! Beyond schema + relations, every instance carries an **identity layer**
 //! used by downstream caches: a process-unique *instance id*, a
 //! monotonically increasing *epoch* bumped by every mutation, and a bounded
 //! log of [`Delta`]s describing what changed between epochs. A cache that
-//! remembers `(instance, epoch)` can later ask [`Database::deltas_since`]
+//! remembers `(instance, epoch)` can later ask [`Instance::deltas_since`]
 //! for exactly the changes it missed and decide whether to serve, refine,
 //! or recompute. Mutations the log cannot describe exactly (wholesale
 //! relation replacement, mutable relation access) are logged as
 //! [`Delta::Structural`], which conservatively forces recomputation.
 
 use crate::bag::BagRelation;
+use crate::codec::{put_bag_relation, put_relation, Reader};
 use crate::delta::{Delta, DELTA_LOG_CAP};
 use crate::relation::Relation;
 use crate::schema::{RelationSchema, Schema};
-use crate::snapshot;
+use crate::snapshot::{self, SnapshotContents};
 use crate::tuple::Tuple;
 use crate::value::{Const, NullId, Value};
 use crate::wal::{DurabilityStats, DurableLog, WalRecord};
@@ -34,20 +43,136 @@ fn next_instance_id() -> u64 {
     NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed)
 }
 
-/// An incomplete relational database instance `D`.
+/// The nulls mentioned in `t`, in position order.
+fn tuple_nulls(t: &Tuple) -> impl Iterator<Item = NullId> + '_ {
+    t.iter().filter_map(Value::as_null)
+}
+
+/// The relations an [`Instance`] holds: [`Relation`] under set semantics,
+/// [`BagRelation`] under bag semantics.
 ///
-/// Each relation name of the [`Schema`] is interpreted as a set-semantics
-/// [`Relation`] over `Const ∪ Null`. Bag-semantics interpretations are
-/// obtained on demand via [`Database::to_bags`], or by constructing relations
-/// directly as [`BagRelation`]s in a [`BagDatabase`].
+/// The trait is sealed: the durable format knows exactly these two kinds.
+pub trait RelationKind: kind::Sealed {}
+
+impl RelationKind for Relation {}
+impl RelationKind for BagRelation {}
+
+/// The part of an [`Instance`] that differs between the two kinds.
+mod kind {
+    use super::*;
+
+    pub trait Sealed: Clone + PartialEq + fmt::Debug {
+        /// The kind byte of a snapshot body.
+        const SNAPSHOT_KIND: u8;
+        /// Whether a snapshot body records the null allocator.
+        const SNAPSHOT_NEXT_NULL: bool;
+        /// The WAL record tag of a reset frame.
+        const RESET_TAG: u8;
+        /// Why a store of the other kind does not recover as this kind.
+        const WRONG_KIND: &'static str;
+
+        fn empty(arity: usize) -> Self;
+        fn encode(&self, buf: &mut Vec<u8>);
+        fn decode(r: &mut Reader<'_>) -> Result<Self>;
+        /// The distinct tuples, in canonical order.
+        fn tuples(&self) -> impl Iterator<Item = &Tuple>;
+        /// Add one occurrence of `t`: one tuple of a logged insert.
+        fn insert_one(&mut self, t: Tuple);
+        /// Remove every occurrence of each of `tuples`: a logged delete,
+        /// and the removal behind `retain`. Returns the occurrences removed.
+        fn remove_all(&mut self, tuples: &[Tuple]) -> usize;
+        /// Apply `f` to every tuple; in a bag, tuples that collapse add
+        /// their multiplicities.
+        fn map_tuples(&self, f: impl FnMut(&Tuple) -> Tuple) -> Self;
+    }
+
+    impl Sealed for Relation {
+        const SNAPSHOT_KIND: u8 = 0;
+        const SNAPSHOT_NEXT_NULL: bool = true;
+        const RESET_TAG: u8 = 1;
+        const WRONG_KIND: &'static str = "durable store holds a bag database; use recover_bag";
+
+        fn empty(arity: usize) -> Self {
+            Relation::empty(arity)
+        }
+
+        fn encode(&self, buf: &mut Vec<u8>) {
+            put_relation(buf, self);
+        }
+
+        fn decode(r: &mut Reader<'_>) -> Result<Self> {
+            r.relation()
+        }
+
+        fn tuples(&self) -> impl Iterator<Item = &Tuple> {
+            self.iter()
+        }
+
+        fn insert_one(&mut self, t: Tuple) {
+            self.insert(t);
+        }
+
+        fn remove_all(&mut self, tuples: &[Tuple]) -> usize {
+            tuples.iter().map(|t| usize::from(self.remove(t))).sum()
+        }
+
+        fn map_tuples(&self, f: impl FnMut(&Tuple) -> Tuple) -> Self {
+            self.map(f)
+        }
+    }
+
+    impl Sealed for BagRelation {
+        const SNAPSHOT_KIND: u8 = 1;
+        const SNAPSHOT_NEXT_NULL: bool = false;
+        const RESET_TAG: u8 = 2;
+        const WRONG_KIND: &'static str = "durable store holds a set database; use recover";
+
+        fn empty(arity: usize) -> Self {
+            BagRelation::empty(arity)
+        }
+
+        fn encode(&self, buf: &mut Vec<u8>) {
+            put_bag_relation(buf, self);
+        }
+
+        fn decode(r: &mut Reader<'_>) -> Result<Self> {
+            r.bag_relation()
+        }
+
+        fn tuples(&self) -> impl Iterator<Item = &Tuple> {
+            self.distinct()
+        }
+
+        fn insert_one(&mut self, t: Tuple) {
+            self.insert(t);
+        }
+
+        fn remove_all(&mut self, tuples: &[Tuple]) -> usize {
+            let gone: BTreeSet<&Tuple> = tuples.iter().collect();
+            let removed = gone.iter().map(|t| self.multiplicity(t)).sum();
+            if removed > 0 {
+                *self = self.filter(|t| !gone.contains(t));
+            }
+            removed
+        }
+
+        fn map_tuples(&self, f: impl FnMut(&Tuple) -> Tuple) -> Self {
+            self.map_add(f)
+        }
+    }
+}
+
+/// An incomplete relational database instance `D` whose relations are of
+/// kind `R`: [`Database`] under set semantics, [`BagDatabase`] under bag
+/// semantics.
 ///
 /// Equality ([`PartialEq`]) compares schema and contents only; the identity
 /// layer (instance id, epoch, delta log, null allocator) is bookkeeping and
 /// never participates in comparisons.
 #[derive(Debug)]
-pub struct Database {
+pub struct Instance<R> {
     schema: Schema,
-    relations: BTreeMap<String, Relation>,
+    relations: BTreeMap<String, R>,
     /// Process-unique identity; fresh per construction and per clone.
     instance: u64,
     /// Mutation counter: bumped by exactly one per logged delta.
@@ -67,9 +192,18 @@ pub struct Database {
     durable: Option<DurableLog>,
 }
 
-impl Clone for Database {
+/// An incomplete database under set semantics: each relation name of the
+/// [`Schema`] is interpreted as a set-semantics [`Relation`] over
+/// `Const ∪ Null`. Bag-semantics interpretations are obtained on demand via
+/// [`Database::to_bags`], or by building a [`BagDatabase`] directly.
+pub type Database = Instance<Relation>;
+
+/// A database whose relations are interpreted under bag semantics.
+pub type BagDatabase = Instance<BagRelation>;
+
+impl<R: Clone> Clone for Instance<R> {
     fn clone(&self) -> Self {
-        Database {
+        Instance {
             schema: self.schema.clone(),
             relations: self.relations.clone(),
             // A clone is a *different* instance: its epoch line diverges
@@ -87,31 +221,31 @@ impl Clone for Database {
     }
 }
 
-impl PartialEq for Database {
+impl<R: PartialEq> PartialEq for Instance<R> {
     fn eq(&self, other: &Self) -> bool {
         self.schema == other.schema && self.relations == other.relations
     }
 }
 
-impl Eq for Database {}
+impl<R: Eq> Eq for Instance<R> {}
 
-impl Database {
+impl<R: RelationKind> Instance<R> {
     /// Create an empty database over a schema (every relation empty).
     pub fn new(schema: Schema) -> Self {
         let relations = schema
             .iter()
-            .map(|r| (r.name().to_string(), Relation::empty(r.arity())))
+            .map(|r| (r.name().to_string(), R::empty(r.arity())))
             .collect();
-        Database::from_parts(schema, relations)
+        Self::from_parts(schema, relations)
     }
 
-    fn from_parts(schema: Schema, relations: BTreeMap<String, Relation>) -> Self {
+    fn from_parts(schema: Schema, relations: BTreeMap<String, R>) -> Self {
         let next_null = relations
             .values()
-            .flat_map(Relation::nulls)
+            .flat_map(|r| r.tuples().flat_map(tuple_nulls))
             .max()
             .map_or(0, |m| m + 1);
-        Database {
+        Instance {
             schema,
             relations,
             instance: next_instance_id(),
@@ -125,29 +259,15 @@ impl Database {
 
     /// Rebuild a database from recovered snapshot + WAL state. The result
     /// is a **fresh instance** with an empty in-memory delta log based at
-    /// `epoch`: caches stamped with the pre-crash instance can never be
-    /// served against it, and `deltas_since` any pre-crash epoch is `None`.
-    pub(crate) fn from_snapshot(
-        schema: Schema,
-        relations: BTreeMap<String, Relation>,
-        epoch: u64,
-        next_null: NullId,
-    ) -> Self {
-        let observed = relations
-            .values()
-            .flat_map(Relation::nulls)
-            .max()
-            .map_or(0, |m| m + 1);
-        Database {
-            schema,
-            relations,
-            instance: next_instance_id(),
-            epoch,
-            log_base: epoch,
-            log: VecDeque::new(),
-            next_null: next_null.max(observed),
-            durable: None,
-        }
+    /// the snapshot's epoch: caches stamped with the pre-crash instance can
+    /// never be served against it, and `deltas_since` any pre-crash epoch
+    /// is `None`.
+    pub(crate) fn from_snapshot(contents: SnapshotContents<R>) -> Self {
+        let mut db = Self::from_parts(contents.schema, contents.relations);
+        db.epoch = contents.epoch;
+        db.log_base = contents.epoch;
+        db.next_null = db.next_null.max(contents.next_null);
+        db
     }
 
     pub(crate) fn set_durable(&mut self, d: DurableLog) {
@@ -155,58 +275,35 @@ impl Database {
     }
 
     /// Apply one recovered WAL record without logging it. Used only by
-    /// [`crate::wal::recover`]; a record that cannot be applied (unknown
-    /// relation, wrong semantics) is reported as corruption and recovery
-    /// treats it as the start of the torn tail.
-    pub(crate) fn replay_record(&mut self, epoch: u64, record: &WalRecord) -> Result<()> {
+    /// [`crate::wal::recover`] and [`crate::wal::recover_bag`]; a record
+    /// that cannot be applied (unknown relation) is reported as corruption
+    /// and recovery treats it as the start of the torn tail.
+    pub(crate) fn replay_record(&mut self, epoch: u64, record: &WalRecord<R>) -> Result<()> {
         match record {
             WalRecord::Delta(Delta::Insert { relation, tuples }) => {
-                {
-                    let rel = self
-                        .relations
-                        .get_mut(relation)
-                        .ok_or_else(|| DataError::UnknownRelation(relation.clone()))?;
-                    for t in tuples {
-                        rel.insert(t.clone());
-                    }
-                }
+                let rel = self.relation_entry(relation)?;
                 for t in tuples {
-                    self.note_nulls(t);
+                    rel.insert_one(t.clone());
                 }
+                self.note_nulls(tuples.iter().flat_map(tuple_nulls));
             }
             WalRecord::Delta(Delta::Delete { relation, tuples }) => {
-                let rel = self
-                    .relations
-                    .get_mut(relation)
-                    .ok_or_else(|| DataError::UnknownRelation(relation.clone()))?;
-                for t in tuples {
-                    rel.remove(t);
-                }
+                self.relation_entry(relation)?.remove_all(tuples);
             }
             WalRecord::Delta(Delta::Resolve { null, value }) => {
                 self.substitute_null(*null, value);
             }
             WalRecord::Delta(Delta::Structural) => {
                 // The WAL writer never emits content-free structural
-                // deltas (they become `ResetSet` frames); one on disk is
+                // deltas (they become `Reset` frames); one on disk is
                 // unreplayable history.
                 return Err(DataError::Corrupt {
                     detail: "content-free structural delta in wal".to_string(),
                 });
             }
-            WalRecord::ResetSet { relation, rel } => {
-                if !self.relations.contains_key(relation) {
-                    return Err(DataError::UnknownRelation(relation.clone()));
-                }
-                for t in rel.iter() {
-                    self.note_nulls(t);
-                }
-                self.relations.insert(relation.clone(), rel.clone());
-            }
-            WalRecord::ResetBag { .. } => {
-                return Err(DataError::Corrupt {
-                    detail: "bag reset frame in a set-semantics store".to_string(),
-                });
+            WalRecord::Reset { relation, rel } => {
+                *self.relation_entry(relation)? = rel.clone();
+                self.note_nulls(rel.tuples().flat_map(tuple_nulls));
             }
         }
         self.epoch = epoch;
@@ -215,7 +312,7 @@ impl Database {
     }
 
     /// Write any deferred structural reset frames (from
-    /// [`Database::relation_mut`] borrows) to the WAL. Consecutive deferred
+    /// [`Instance::relation_mut`] borrows) to the WAL. Consecutive deferred
     /// resets of the same relation collapse into the newest epoch — the
     /// relation's current contents are only known to match the *latest*
     /// structural epoch, and a frame per intermediate epoch would claim
@@ -240,7 +337,7 @@ impl Database {
                 .relations
                 .get(&name)
                 .ok_or_else(|| DataError::UnknownRelation(name.clone()))?;
-            d.append_reset_set(epoch, &name, rel)?;
+            d.append_reset(epoch, &name, rel)?;
         }
         Ok(())
     }
@@ -256,30 +353,49 @@ impl Database {
         Ok(())
     }
 
+    /// Write the named relation's current contents as an immediate reset
+    /// frame at the current epoch, for a change the delta vocabulary cannot
+    /// express.
+    fn wal_reset_now(&mut self, name: &str) -> Result<()> {
+        let Some(d) = self.durable.as_mut() else {
+            return Ok(());
+        };
+        let rel = self
+            .relations
+            .get(name)
+            .ok_or_else(|| DataError::UnknownRelation(name.to_string()))?;
+        d.append_reset(self.epoch, name, rel)
+    }
+
     /// Attach crash-safe durability rooted at `dir`: the directory is
     /// created, a fresh WAL is opened, and the current contents are
     /// published as the baseline snapshot. Any previous durable state in
-    /// `dir` is replaced. From here on every logged mutation appends a
-    /// checksummed WAL frame before the mutator returns (a
-    /// [`Database::relation_mut`] borrow's frame is written at the next
-    /// mutation or sync); recover the store later with
-    /// [`crate::wal::recover`].
+    /// `dir` is replaced: every snapshot already there is removed first, so
+    /// another store's snapshot can never win recovery over this one's.
+    /// From here on every logged mutation appends a checksummed WAL frame
+    /// before the mutator returns (a [`Instance::relation_mut`] borrow's
+    /// frame is written at the next mutation or sync); recover the store
+    /// later with [`crate::wal::recover`] or [`crate::wal::recover_bag`].
+    ///
+    /// A crash before this returns acknowledges nothing of the new store:
+    /// between removing the old snapshots and publishing the baseline, `dir`
+    /// holds no snapshot and recovery reports [`DataError::Corrupt`].
     ///
     /// Frames are written without fsync. Once a mutator returns, its
     /// mutation survives a process crash (`kill -9`); it survives power
-    /// loss only once the next [`Database::sync_durable`],
-    /// [`Database::snapshot_durable`] or [`Database::detach_durable`]
+    /// loss only once the next [`Instance::sync_durable`],
+    /// [`Instance::snapshot_durable`] or [`Instance::detach_durable`]
     /// returns.
     ///
     /// # Errors
     ///
     /// Returns [`DataError::Io`] if the directory or files cannot be
-    /// written.
+    /// written or the old snapshots cannot be removed.
     pub fn attach_durable(&mut self, dir: impl AsRef<Path>) -> Result<()> {
         let dir = dir.as_ref();
-        let log = DurableLog::attach(dir)?;
-        self.durable = Some(log);
-        let written = snapshot::write_set(
+        snapshot::prune(dir, 0)?;
+        self.durable = Some(DurableLog::attach(dir)?);
+        let written = snapshot::write(
             dir,
             &self.schema,
             &self.relations,
@@ -299,23 +415,20 @@ impl Database {
     /// filesystem fails, and [`DataError::CrashInjected`] when a crash
     /// fault site fires.
     pub fn snapshot_durable(&mut self) -> Result<()> {
-        if self.durable.is_none() {
+        self.wal_flush_pending()?;
+        let Some(d) = self.durable.as_ref() else {
             return Err(DataError::Io {
                 op: "snapshot".to_string(),
                 detail: "no durable log attached".to_string(),
             });
-        }
-        self.wal_flush_pending()?;
-        let written = {
-            let d = self.durable.as_ref().expect("attachment checked above");
-            snapshot::write_set(
-                d.dir(),
-                &self.schema,
-                &self.relations,
-                self.epoch,
-                self.next_null,
-            )
         };
+        let written = snapshot::write(
+            d.dir(),
+            &self.schema,
+            &self.relations,
+            self.epoch,
+            self.next_null,
+        );
         self.finish_snapshot(written)
     }
 
@@ -386,13 +499,11 @@ impl Database {
         }
     }
 
-    /// Keep the null allocator above every null mentioned in `t`.
-    fn note_nulls(&mut self, t: &Tuple) {
-        for v in t.iter() {
-            if let Value::Null(n) = v {
-                if *n >= self.next_null {
-                    self.next_null = n + 1;
-                }
+    /// Keep the null allocator above every null in `nulls`.
+    fn note_nulls(&mut self, nulls: impl IntoIterator<Item = NullId>) {
+        for n in nulls {
+            if n >= self.next_null {
+                self.next_null = n + 1;
             }
         }
     }
@@ -411,6 +522,8 @@ impl Database {
     }
 
     /// The deltas applied after epoch `since` (exclusive), oldest first.
+    /// In a bag, a [`Delta::Delete`] means *all occurrences* of the listed
+    /// tuples were removed.
     ///
     /// Returns `None` when the question cannot be answered exactly: `since`
     /// lies in the future, or the bounded log has already dropped entries
@@ -434,9 +547,16 @@ impl Database {
     /// # Errors
     ///
     /// Returns [`DataError::UnknownRelation`] if the name is not in the schema.
-    pub fn relation(&self, name: &str) -> Result<&Relation> {
+    pub fn relation(&self, name: &str) -> Result<&R> {
         self.relations
             .get(name)
+            .ok_or_else(|| DataError::UnknownRelation(name.to_string()))
+    }
+
+    /// The named relation, for a mutator that logs its own change.
+    fn relation_entry(&mut self, name: &str) -> Result<&mut R> {
+        self.relations
+            .get_mut(name)
             .ok_or_else(|| DataError::UnknownRelation(name.to_string()))
     }
 
@@ -445,14 +565,14 @@ impl Database {
     /// The borrow allows arbitrary edits the delta log cannot describe, so
     /// this is logged as a [`Delta::Structural`] change (and bumps the
     /// epoch) even if the caller never writes through it. Prefer the typed
-    /// mutators ([`Database::insert`], [`Database::delete`],
-    /// [`Database::retain`], [`Database::resolve_null`]) — they keep cached
-    /// answers refinable.
+    /// mutators ([`Database::insert`], [`BagDatabase::insert_n`],
+    /// [`Database::delete`], [`Instance::retain`],
+    /// [`Instance::resolve_null`]) — they keep cached answers refinable.
     ///
     /// # Errors
     ///
     /// Returns [`DataError::UnknownRelation`] if the name is not in the schema.
-    pub fn relation_mut(&mut self, name: &str) -> Result<&mut Relation> {
+    pub fn relation_mut(&mut self, name: &str) -> Result<&mut R> {
         self.wal_flush_pending()?;
         if !self.relations.contains_key(name) {
             return Err(DataError::UnknownRelation(name.to_string()));
@@ -465,11 +585,132 @@ impl Database {
             // yet: defer the reset until the next logged mutation or sync.
             d.defer_reset(epoch, name);
         }
-        self.relations
-            .get_mut(name)
-            .ok_or_else(|| DataError::UnknownRelation(name.to_string()))
+        self.relation_entry(name)
     }
 
+    /// Remove every occurrence of `tuple` from `relation`: the one body of
+    /// [`Database::delete`] and [`BagDatabase::delete`]. Returns the
+    /// occurrences removed; the epoch is bumped (with a [`Delta::Delete`])
+    /// only if there were any.
+    fn delete_all(&mut self, relation: &str, tuple: &Tuple) -> Result<usize> {
+        self.wal_flush_pending()?;
+        let removed = self
+            .relation_entry(relation)?
+            .remove_all(std::slice::from_ref(tuple));
+        if removed > 0 {
+            self.record(Delta::Delete {
+                relation: relation.to_string(),
+                tuples: vec![tuple.clone()],
+            });
+            self.wal_append_last()?;
+        }
+        Ok(removed)
+    }
+
+    /// Keep only the tuples of `relation` satisfying `pred` (in a bag,
+    /// every occurrence of a failing tuple is dropped); the removed tuples
+    /// are logged as one [`Delta::Delete`]. Returns how many distinct
+    /// tuples were removed (zero removals bump nothing).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DataError::UnknownRelation`] if the relation is unknown.
+    pub fn retain(
+        &mut self,
+        relation: &str,
+        mut pred: impl FnMut(&Tuple) -> bool,
+    ) -> Result<usize> {
+        self.wal_flush_pending()?;
+        let rel = self.relation_entry(relation)?;
+        let removed: Vec<Tuple> = rel.tuples().filter(|t| !pred(t)).cloned().collect();
+        let n = removed.len();
+        if n > 0 {
+            rel.remove_all(&removed);
+            self.record(Delta::Delete {
+                relation: relation.to_string(),
+                tuples: removed,
+            });
+            self.wal_append_last()?;
+        }
+        Ok(n)
+    }
+
+    /// Resolve a marked null: substitute the constant `value` for every
+    /// occurrence of `⊥_null` across all relations (the evidence "⊥ is
+    /// actually `value`" arriving). In a bag, tuples that collapse add
+    /// their multiplicities. Returns the number of distinct tuples
+    /// rewritten; if the null does not occur, nothing is logged and the
+    /// epoch is unchanged.
+    pub fn resolve_null(&mut self, null: NullId, value: Const) -> usize {
+        // This mutator reports a count, not a Result: WAL failures poison
+        // the attachment (observable via `durability_crashed`) instead of
+        // being surfaced here.
+        let _ = self.wal_flush_pending();
+        let touched = self.substitute_null(null, &value);
+        if touched > 0 {
+            self.record(Delta::Resolve { null, value });
+            let _ = self.wal_append_last();
+        }
+        touched
+    }
+
+    /// The substitution behind [`Instance::resolve_null`], shared with WAL
+    /// replay: rewrite every occurrence of `⊥_null` to `value` without
+    /// touching the identity layer. Returns the number of distinct tuples
+    /// rewritten.
+    fn substitute_null(&mut self, null: NullId, value: &Const) -> usize {
+        let mut touched = 0usize;
+        for rel in self.relations.values_mut() {
+            let hits = rel
+                .tuples()
+                .filter(|t| tuple_nulls(t).any(|n| n == null))
+                .count();
+            if hits > 0 {
+                touched += hits;
+                *rel = rel.map_tuples(|t| {
+                    t.map(|v| {
+                        if *v == Value::Null(null) {
+                            Value::Const(value.clone())
+                        } else {
+                            v.clone()
+                        }
+                    })
+                });
+            }
+        }
+        touched
+    }
+
+    /// Iterate over `(name, relation)` pairs in name order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &R)> {
+        self.relations.iter().map(|(n, r)| (n.as_str(), r))
+    }
+
+    /// Set of nulls occurring in the database, `Null(D)`.
+    pub fn nulls(&self) -> BTreeSet<NullId> {
+        self.relations
+            .values()
+            .flat_map(|r| r.tuples().flat_map(tuple_nulls))
+            .collect()
+    }
+
+    /// The active domain `dom(D) = Const(D) ∪ Null(D)`.
+    pub fn active_domain(&self) -> BTreeSet<Value> {
+        self.relations
+            .values()
+            .flat_map(|r| r.tuples().flat_map(|t| t.iter().cloned()))
+            .collect()
+    }
+
+    /// `true` iff the database mentions no nulls (it is *complete*, §2).
+    pub fn is_complete(&self) -> bool {
+        self.relations
+            .values()
+            .all(|r| r.tuples().all(Tuple::all_const))
+    }
+}
+
+impl Database {
     /// Insert a tuple into the named relation.
     ///
     /// Bumps the epoch (logging a [`Delta::Insert`]) only if the tuple was
@@ -497,10 +738,7 @@ impl Database {
     ) -> Result<()> {
         self.wal_flush_pending()?;
         let expected = self.schema.relation(relation)?.arity();
-        let rel = self
-            .relations
-            .get_mut(relation)
-            .ok_or_else(|| DataError::UnknownRelation(relation.to_string()))?;
+        let rel = self.relation_entry(relation)?;
         let mut added: Vec<Tuple> = Vec::new();
         for t in tuples {
             if t.arity() != expected {
@@ -509,9 +747,7 @@ impl Database {
                 // The arity error outranks any WAL failure; a poisoned log
                 // stays observable via `durability_crashed`.
                 if !added.is_empty() {
-                    for t in &added {
-                        self.note_nulls(t);
-                    }
+                    self.note_nulls(added.iter().flat_map(tuple_nulls));
                     self.record(Delta::Insert {
                         relation: relation.to_string(),
                         tuples: added,
@@ -529,9 +765,7 @@ impl Database {
             }
         }
         if !added.is_empty() {
-            for t in &added {
-                self.note_nulls(t);
-            }
+            self.note_nulls(added.iter().flat_map(tuple_nulls));
             self.record(Delta::Insert {
                 relation: relation.to_string(),
                 tuples: added,
@@ -549,102 +783,7 @@ impl Database {
     ///
     /// Returns [`DataError::UnknownRelation`] if the relation is unknown.
     pub fn delete(&mut self, relation: &str, tuple: &Tuple) -> Result<bool> {
-        self.wal_flush_pending()?;
-        let rel = self
-            .relations
-            .get_mut(relation)
-            .ok_or_else(|| DataError::UnknownRelation(relation.to_string()))?;
-        let removed = rel.remove(tuple);
-        if removed {
-            self.record(Delta::Delete {
-                relation: relation.to_string(),
-                tuples: vec![tuple.clone()],
-            });
-            self.wal_append_last()?;
-        }
-        Ok(removed)
-    }
-
-    /// Keep only the tuples of `relation` satisfying `pred`; the removed
-    /// tuples are logged as one [`Delta::Delete`]. Returns how many tuples
-    /// were removed (zero removals bump nothing).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DataError::UnknownRelation`] if the relation is unknown.
-    pub fn retain(
-        &mut self,
-        relation: &str,
-        mut pred: impl FnMut(&Tuple) -> bool,
-    ) -> Result<usize> {
-        self.wal_flush_pending()?;
-        let rel = self
-            .relations
-            .get_mut(relation)
-            .ok_or_else(|| DataError::UnknownRelation(relation.to_string()))?;
-        let removed: Vec<Tuple> = rel.iter().filter(|t| !pred(t)).cloned().collect();
-        for t in &removed {
-            rel.remove(t);
-        }
-        let n = removed.len();
-        if n > 0 {
-            self.record(Delta::Delete {
-                relation: relation.to_string(),
-                tuples: removed,
-            });
-            self.wal_append_last()?;
-        }
-        Ok(n)
-    }
-
-    /// Resolve a marked null: substitute the constant `value` for every
-    /// occurrence of `⊥_null` across all relations (the evidence "⊥ is
-    /// actually `value`" arriving). Returns the number of tuples rewritten;
-    /// if the null does not occur, nothing is logged and the epoch is
-    /// unchanged.
-    pub fn resolve_null(&mut self, null: NullId, value: Const) -> usize {
-        // This mutator reports a count, not a Result: WAL failures poison
-        // the attachment (observable via `durability_crashed`) instead of
-        // being surfaced here.
-        let _ = self.wal_flush_pending();
-        let touched = self.substitute_null(null, &value);
-        if touched > 0 {
-            self.record(Delta::Resolve { null, value });
-            let _ = self.wal_append_last();
-        }
-        touched
-    }
-
-    /// The substitution behind [`Database::resolve_null`], shared with WAL
-    /// replay: rewrite every occurrence of `⊥_null` to `value` without
-    /// touching the identity layer. Returns the number of tuples rewritten.
-    fn substitute_null(&mut self, null: NullId, value: &Const) -> usize {
-        let mut touched = 0usize;
-        for rel in self.relations.values_mut() {
-            let affected = rel
-                .iter()
-                .any(|t| t.iter().any(|v| *v == Value::Null(null)));
-            if !affected {
-                continue;
-            }
-            let substituted = rel.map(|t| {
-                let hit = t.iter().any(|v| *v == Value::Null(null));
-                if hit {
-                    touched += 1;
-                    t.map(|v| {
-                        if *v == Value::Null(null) {
-                            Value::Const(value.clone())
-                        } else {
-                            v.clone()
-                        }
-                    })
-                } else {
-                    t.clone()
-                }
-            });
-            *rel = substituted;
-        }
-        touched
+        Ok(self.delete_all(relation, tuple)? > 0)
     }
 
     /// Replace the contents of a relation wholesale. Logged as a
@@ -663,53 +802,17 @@ impl Database {
                 got: rel.arity(),
             });
         }
-        for t in rel.iter() {
-            for v in t.iter() {
-                if let Value::Null(n) = v {
-                    if *n >= self.next_null {
-                        self.next_null = n + 1;
-                    }
-                }
-            }
-        }
+        self.note_nulls(rel.iter().flat_map(tuple_nulls));
         self.relations.insert(name.to_string(), rel);
         self.record(Delta::Structural);
         // Unlike `relation_mut`, the new contents are fully known here, so
         // the structural change goes to the WAL as an immediate reset.
-        let epoch = self.epoch;
-        if let Some(d) = self.durable.as_mut() {
-            let current = self
-                .relations
-                .get(name)
-                .ok_or_else(|| DataError::UnknownRelation(name.to_string()))?;
-            d.append_reset_set(epoch, name, current)?;
-        }
-        Ok(())
-    }
-
-    /// Iterate over `(name, relation)` pairs in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &Relation)> {
-        self.relations.iter().map(|(n, r)| (n.as_str(), r))
+        self.wal_reset_now(name)
     }
 
     /// Set of constants occurring in the database, `Const(D)`.
     pub fn consts(&self) -> BTreeSet<Const> {
         self.relations.values().flat_map(Relation::consts).collect()
-    }
-
-    /// Set of nulls occurring in the database, `Null(D)`.
-    pub fn nulls(&self) -> BTreeSet<NullId> {
-        self.relations.values().flat_map(Relation::nulls).collect()
-    }
-
-    /// The active domain `dom(D) = Const(D) ∪ Null(D)`.
-    pub fn active_domain(&self) -> BTreeSet<Value> {
-        self.relations.values().flat_map(Relation::values).collect()
-    }
-
-    /// `true` iff the database mentions no nulls (it is *complete*, §2).
-    pub fn is_complete(&self) -> bool {
-        self.relations.values().all(Relation::is_complete)
     }
 
     /// Total number of tuples across all relations.
@@ -823,346 +926,7 @@ impl fmt::Display for Database {
     }
 }
 
-/// A database whose relations are interpreted under bag semantics.
-///
-/// Carries the same identity layer as [`Database`] (instance id, epoch,
-/// bounded delta log); equality compares schema and contents only.
-#[derive(Debug)]
-pub struct BagDatabase {
-    schema: Schema,
-    relations: BTreeMap<String, BagRelation>,
-    instance: u64,
-    epoch: u64,
-    log_base: u64,
-    log: VecDeque<Delta>,
-    /// Optional durability attachment; see [`Database`]'s field.
-    durable: Option<DurableLog>,
-}
-
-impl Clone for BagDatabase {
-    fn clone(&self) -> Self {
-        BagDatabase {
-            schema: self.schema.clone(),
-            relations: self.relations.clone(),
-            instance: next_instance_id(),
-            epoch: self.epoch,
-            log_base: self.log_base,
-            log: self.log.clone(),
-            // Clones never share a WAL; see `Database::clone`.
-            durable: None,
-        }
-    }
-}
-
-impl PartialEq for BagDatabase {
-    fn eq(&self, other: &Self) -> bool {
-        self.schema == other.schema && self.relations == other.relations
-    }
-}
-
-impl Eq for BagDatabase {}
-
 impl BagDatabase {
-    /// Create an empty bag database over a schema.
-    pub fn new(schema: Schema) -> Self {
-        let relations = schema
-            .iter()
-            .map(|r| (r.name().to_string(), BagRelation::empty(r.arity())))
-            .collect();
-        BagDatabase::from_parts(schema, relations)
-    }
-
-    fn from_parts(schema: Schema, relations: BTreeMap<String, BagRelation>) -> Self {
-        BagDatabase {
-            schema,
-            relations,
-            instance: next_instance_id(),
-            epoch: 0,
-            log_base: 0,
-            log: VecDeque::new(),
-            durable: None,
-        }
-    }
-
-    /// Rebuild from recovered snapshot + WAL state; see
-    /// [`Database::from_snapshot`] for the identity guarantees.
-    pub(crate) fn from_snapshot(
-        schema: Schema,
-        relations: BTreeMap<String, BagRelation>,
-        epoch: u64,
-    ) -> Self {
-        BagDatabase {
-            schema,
-            relations,
-            instance: next_instance_id(),
-            epoch,
-            log_base: epoch,
-            log: VecDeque::new(),
-            durable: None,
-        }
-    }
-
-    pub(crate) fn set_durable(&mut self, d: DurableLog) {
-        self.durable = Some(d);
-    }
-
-    /// Apply one recovered WAL record; see [`Database::replay_record`].
-    pub(crate) fn replay_record(&mut self, epoch: u64, record: &WalRecord) -> Result<()> {
-        match record {
-            WalRecord::Delta(Delta::Insert { relation, tuples }) => {
-                let rel = self
-                    .relations
-                    .get_mut(relation)
-                    .ok_or_else(|| DataError::UnknownRelation(relation.clone()))?;
-                for t in tuples {
-                    rel.insert_n(t.clone(), 1);
-                }
-            }
-            WalRecord::Delta(Delta::Delete { relation, tuples }) => {
-                let rel = self
-                    .relations
-                    .get_mut(relation)
-                    .ok_or_else(|| DataError::UnknownRelation(relation.clone()))?;
-                *rel = rel.filter(|t| !tuples.contains(t));
-            }
-            WalRecord::Delta(Delta::Resolve { null, value }) => {
-                self.substitute_null(*null, value);
-            }
-            WalRecord::Delta(Delta::Structural) => {
-                return Err(DataError::Corrupt {
-                    detail: "content-free structural delta in wal".to_string(),
-                });
-            }
-            WalRecord::ResetBag { relation, rel } => {
-                if !self.relations.contains_key(relation) {
-                    return Err(DataError::UnknownRelation(relation.clone()));
-                }
-                self.relations.insert(relation.clone(), rel.clone());
-            }
-            WalRecord::ResetSet { .. } => {
-                return Err(DataError::Corrupt {
-                    detail: "set reset frame in a bag-semantics store".to_string(),
-                });
-            }
-        }
-        self.epoch = epoch;
-        self.log_base = epoch;
-        Ok(())
-    }
-
-    /// Write deferred structural reset frames; see
-    /// [`Database::wal_flush_pending`] for the epoch-collapsing rule.
-    fn wal_flush_pending(&mut self) -> Result<()> {
-        let Some(d) = self.durable.as_mut() else {
-            return Ok(());
-        };
-        let pending = d.take_pending();
-        if pending.is_empty() {
-            return Ok(());
-        }
-        let mut latest: BTreeMap<String, u64> = BTreeMap::new();
-        for (epoch, name) in pending {
-            let e = latest.entry(name).or_insert(epoch);
-            *e = (*e).max(epoch);
-        }
-        let mut ordered: Vec<(u64, String)> = latest.into_iter().map(|(n, e)| (e, n)).collect();
-        ordered.sort();
-        for (epoch, name) in ordered {
-            let rel = self
-                .relations
-                .get(&name)
-                .ok_or_else(|| DataError::UnknownRelation(name.clone()))?;
-            d.append_reset_bag(epoch, &name, rel)?;
-        }
-        Ok(())
-    }
-
-    /// Append the most recently recorded delta to the WAL.
-    fn wal_append_last(&mut self) -> Result<()> {
-        let Some(d) = self.durable.as_mut() else {
-            return Ok(());
-        };
-        if let Some(delta) = self.log.back() {
-            d.append_delta(self.epoch, delta)?;
-        }
-        Ok(())
-    }
-
-    /// Write the current relation contents as an immediate reset frame (for
-    /// bag mutations the delta vocabulary cannot express exactly).
-    fn wal_reset_now(&mut self, name: &str) -> Result<()> {
-        let epoch = self.epoch;
-        let Some(d) = self.durable.as_mut() else {
-            return Ok(());
-        };
-        let rel = self
-            .relations
-            .get(name)
-            .ok_or_else(|| DataError::UnknownRelation(name.to_string()))?;
-        d.append_reset_bag(epoch, name, rel)
-    }
-
-    /// Attach crash-safe durability; see [`Database::attach_durable`],
-    /// including what survives a process crash and what survives power
-    /// loss.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DataError::Io`] if the directory or files cannot be
-    /// written.
-    pub fn attach_durable(&mut self, dir: impl AsRef<Path>) -> Result<()> {
-        let dir = dir.as_ref();
-        let log = DurableLog::attach(dir)?;
-        self.durable = Some(log);
-        let written = snapshot::write_bag(dir, &self.schema, &self.relations, self.epoch);
-        self.finish_snapshot(written)
-    }
-
-    /// Publish a full snapshot and restart the WAL; see
-    /// [`Database::snapshot_durable`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Database::snapshot_durable`].
-    pub fn snapshot_durable(&mut self) -> Result<()> {
-        if self.durable.is_none() {
-            return Err(DataError::Io {
-                op: "snapshot".to_string(),
-                detail: "no durable log attached".to_string(),
-            });
-        }
-        self.wal_flush_pending()?;
-        let written = match self.durable.as_ref() {
-            Some(d) => snapshot::write_bag(d.dir(), &self.schema, &self.relations, self.epoch),
-            None => return Ok(()),
-        };
-        self.finish_snapshot(written)
-    }
-
-    fn finish_snapshot(&mut self, written: Result<u64>) -> Result<()> {
-        let Some(d) = self.durable.as_mut() else {
-            return Ok(());
-        };
-        match written {
-            Ok(bytes) => d.note_snapshot(self.epoch, bytes),
-            Err(e) => {
-                d.mark_failed(format!("snapshot failed: {e}"));
-                Err(e)
-            }
-        }
-    }
-
-    /// Flush deferred resets and fsync the WAL; see
-    /// [`Database::sync_durable`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Database::sync_durable`].
-    pub fn sync_durable(&mut self) -> Result<()> {
-        self.wal_flush_pending()?;
-        match self.durable.as_mut() {
-            Some(d) => d.sync(),
-            None => Ok(()),
-        }
-    }
-
-    /// Detach durability; see [`Database::detach_durable`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Database::detach_durable`].
-    pub fn detach_durable(&mut self) -> Result<()> {
-        if self.durability_crashed().is_none() {
-            self.wal_flush_pending()?;
-        }
-        if let Some(mut d) = self.durable.take() {
-            if d.failed().is_none() {
-                d.sync()?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Observable durability state, if a log is attached.
-    pub fn durability(&self) -> Option<DurabilityStats> {
-        self.durable.as_ref().map(DurableLog::stats)
-    }
-
-    /// Why the attached log stopped accepting writes, if it did.
-    pub fn durability_crashed(&self) -> Option<&str> {
-        self.durable.as_ref().and_then(DurableLog::failed)
-    }
-
-    fn record(&mut self, delta: Delta) {
-        self.epoch += 1;
-        self.log.push_back(delta);
-        while self.log.len() > DELTA_LOG_CAP {
-            self.log.pop_front();
-            self.log_base += 1;
-        }
-    }
-
-    /// Process-unique identity of this instance (fresh per clone).
-    pub fn instance(&self) -> u64 {
-        self.instance
-    }
-
-    /// The current epoch (number of logged mutations).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The deltas applied after epoch `since` (exclusive), oldest first,
-    /// or `None` if the bounded log no longer covers that range. A
-    /// [`Delta::Delete`] here means *all occurrences* of the listed tuples
-    /// were removed.
-    pub fn deltas_since(&self, since: u64) -> Option<impl Iterator<Item = &Delta> + Clone> {
-        if since > self.epoch || since < self.log_base {
-            return None;
-        }
-        let skip = usize::try_from(since - self.log_base).ok()?;
-        Some(self.log.iter().skip(skip))
-    }
-
-    /// The database's schema.
-    pub fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    /// Look up a bag relation by name.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DataError::UnknownRelation`] if absent.
-    pub fn relation(&self, name: &str) -> Result<&BagRelation> {
-        self.relations
-            .get(name)
-            .ok_or_else(|| DataError::UnknownRelation(name.to_string()))
-    }
-
-    /// Mutable access to a bag relation by name. Logged as a
-    /// [`Delta::Structural`] change, as for [`Database::relation_mut`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DataError::UnknownRelation`] if absent.
-    pub fn relation_mut(&mut self, name: &str) -> Result<&mut BagRelation> {
-        self.wal_flush_pending()?;
-        if !self.relations.contains_key(name) {
-            return Err(DataError::UnknownRelation(name.to_string()));
-        }
-        self.record(Delta::Structural);
-        let epoch = self.epoch;
-        if let Some(d) = self.durable.as_mut() {
-            // Contents after the borrow's edits aren't known yet; defer
-            // the reset frame (see `Database::relation_mut`).
-            d.defer_reset(epoch, name);
-        }
-        self.relations
-            .get_mut(name)
-            .ok_or_else(|| DataError::UnknownRelation(name.to_string()))
-    }
-
     /// Insert `n` occurrences of a tuple into the named relation.
     ///
     /// A first occurrence is logged as [`Delta::Insert`]; raising the
@@ -1185,10 +949,7 @@ impl BagDatabase {
         if n == 0 {
             return Ok(());
         }
-        let rel = self
-            .relations
-            .get_mut(relation)
-            .ok_or_else(|| DataError::UnknownRelation(relation.to_string()))?;
+        let rel = self.relation_entry(relation)?;
         let fresh = rel.multiplicity(&tuple) == 0;
         rel.insert_n(tuple.clone(), n);
         if fresh && n == 1 {
@@ -1213,118 +974,7 @@ impl BagDatabase {
     ///
     /// Returns [`DataError::UnknownRelation`] if the relation is unknown.
     pub fn delete(&mut self, relation: &str, tuple: &Tuple) -> Result<usize> {
-        self.wal_flush_pending()?;
-        let rel = self
-            .relations
-            .get_mut(relation)
-            .ok_or_else(|| DataError::UnknownRelation(relation.to_string()))?;
-        let mult = rel.multiplicity(tuple);
-        if mult > 0 {
-            *rel = rel.filter(|t| t != tuple);
-            self.record(Delta::Delete {
-                relation: relation.to_string(),
-                tuples: vec![tuple.clone()],
-            });
-            self.wal_append_last()?;
-        }
-        Ok(mult)
-    }
-
-    /// Keep only tuples satisfying `pred` (all occurrences of a failing
-    /// tuple are dropped). Returns the number of *distinct* tuples removed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DataError::UnknownRelation`] if the relation is unknown.
-    pub fn retain(
-        &mut self,
-        relation: &str,
-        mut pred: impl FnMut(&Tuple) -> bool,
-    ) -> Result<usize> {
-        self.wal_flush_pending()?;
-        let rel = self
-            .relations
-            .get_mut(relation)
-            .ok_or_else(|| DataError::UnknownRelation(relation.to_string()))?;
-        let removed: Vec<Tuple> = rel.distinct().filter(|t| !pred(t)).cloned().collect();
-        if !removed.is_empty() {
-            *rel = rel.filter(&mut pred);
-            self.record(Delta::Delete {
-                relation: relation.to_string(),
-                tuples: removed.clone(),
-            });
-            self.wal_append_last()?;
-        }
-        Ok(removed.len())
-    }
-
-    /// Resolve a marked null across all relations, adding multiplicities of
-    /// tuples that collapse. Returns the number of distinct tuples
-    /// rewritten; a null that does not occur bumps nothing.
-    pub fn resolve_null(&mut self, null: NullId, value: Const) -> usize {
-        // Count-returning mutator: WAL failures poison the attachment
-        // rather than being surfaced here (see `Database::resolve_null`).
-        let _ = self.wal_flush_pending();
-        let touched = self.substitute_null(null, &value);
-        if touched > 0 {
-            self.record(Delta::Resolve { null, value });
-            let _ = self.wal_append_last();
-        }
-        touched
-    }
-
-    /// The substitution behind [`BagDatabase::resolve_null`], shared with
-    /// WAL replay. Returns the number of distinct tuples rewritten.
-    fn substitute_null(&mut self, null: NullId, value: &Const) -> usize {
-        let mut touched = 0usize;
-        for rel in self.relations.values_mut() {
-            let affected = rel
-                .distinct()
-                .any(|t| t.iter().any(|v| *v == Value::Null(null)));
-            if !affected {
-                continue;
-            }
-            touched += rel
-                .distinct()
-                .filter(|t| t.iter().any(|v| *v == Value::Null(null)))
-                .count();
-            *rel = rel.map_add(|t| {
-                t.map(|v| {
-                    if *v == Value::Null(null) {
-                        Value::Const(value.clone())
-                    } else {
-                        v.clone()
-                    }
-                })
-            });
-        }
-        touched
-    }
-
-    /// Iterate over `(name, bag relation)` pairs in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &BagRelation)> {
-        self.relations.iter().map(|(n, r)| (n.as_str(), r))
-    }
-
-    /// Set of nulls occurring in the database.
-    pub fn nulls(&self) -> BTreeSet<NullId> {
-        self.relations
-            .values()
-            .flat_map(BagRelation::nulls)
-            .collect()
-    }
-
-    /// The active domain of the bag database.
-    pub fn active_domain(&self) -> BTreeSet<Value> {
-        self.relations
-            .values()
-            .flat_map(BagRelation::values)
-            .collect()
-    }
-
-    /// `true` iff no relation mentions a null.
-    pub fn is_complete(&self) -> bool {
-        self.relations.values().all(BagRelation::is_complete)
+        self.delete_all(relation, tuple)
     }
 
     /// Forget multiplicities, producing the set-semantics database.

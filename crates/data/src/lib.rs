@@ -18,8 +18,9 @@
 //! * [`Tuple`] — a fixed-arity row of values;
 //! * [`Relation`] — a set-semantics relation, [`BagRelation`] — a
 //!   bag-semantics relation with multiplicities;
-//! * [`Schema`] and [`Database`] — named relations with arities and
-//!   attribute names;
+//! * [`Schema`] and [`Instance`] — named relations with arities and
+//!   attribute names, one type for both semantics: [`Database`] holds
+//!   [`Relation`]s and [`BagDatabase`] holds [`BagRelation`]s;
 //! * [`Valuation`] — a map from nulls to constants, giving the possible
 //!   worlds `⟦D⟧ = { v(D) | v a valuation }` under the closed-world
 //!   assumption (and, with extra facts, under the open-world assumption);
@@ -29,9 +30,11 @@
 //!   block of the `⋉⇑` anti-semijoin used by the approximation schemes;
 //! * [`wal`] and [`snapshot`] — crash-safe durability: a checksummed
 //!   write-ahead delta log plus atomic snapshots, recovered via
-//!   [`wal::recover`] / [`wal::recover_bag`].
+//!   [`wal::recover`] / [`wal::recover_bag`]. One implementation serves
+//!   set and bag stores alike.
 
 pub mod bag;
+mod codec;
 pub mod crc32;
 pub mod database;
 pub mod delta;
@@ -48,7 +51,7 @@ pub mod value;
 pub mod wal;
 
 pub use bag::BagRelation;
-pub use database::{database_from_literal, BagDatabase, Database};
+pub use database::{database_from_literal, BagDatabase, Database, Instance, RelationKind};
 pub use delta::{Delta, DELTA_LOG_CAP};
 pub use governor::GovernorError;
 pub use homomorphism::{find_homomorphism, is_homomorphism, HomKind, Homomorphism};

@@ -17,7 +17,7 @@
 //!   kind      u8                  0 = set semantics, 1 = bag semantics
 //!   epoch     u64 LE
 //!   next_null u32 LE              (set kind only)
-//!   schema                        see wal codec
+//!   schema                        see the codec module
 //!   count     u32 LE              relations
 //!   (name, relation)*             sorted by name (BTreeMap order)
 //! ```
@@ -26,17 +26,21 @@
 //! ones when validation fails (truncated body, checksum mismatch, bad
 //! magic): a crash during snapshot writing must never make the store
 //! unrecoverable. The last two snapshots are retained for exactly this
-//! reason; older ones are pruned after each successful write.
+//! reason; older ones are pruned after each successful write, and attaching
+//! a store to a directory removes them all first. A valid snapshot of the
+//! other kind is not skipped: it means the directory holds the other kind
+//! of store, and loading reports that.
+//!
+//! One writer and one loader serve both kinds; the kind byte, the
+//! `next_null` field and the relation codec come from the
+//! [`RelationKind`].
 
-use crate::bag::BagRelation;
+use crate::codec::{corrupt, put_schema, put_str, put_u32, put_u64, Reader};
 use crate::crc32::crc32;
-use crate::relation::Relation;
+use crate::database::RelationKind;
 use crate::schema::Schema;
 use crate::value::NullId;
-use crate::wal::{
-    corrupt, crash_fires, io_err, mangle, put_bag_relation, put_relation, put_schema, put_str,
-    put_u32, put_u64, Reader,
-};
+use crate::wal::{crash_fires, io_err, mangle};
 use crate::{DataError, Result};
 use certa_obs as obs;
 use obs::HistogramId;
@@ -57,18 +61,12 @@ const RETAIN: usize = 2;
 
 /// Decoded snapshot body, before it becomes a database.
 #[derive(Debug)]
-pub(crate) enum SnapshotContents {
-    Set {
-        schema: Schema,
-        relations: BTreeMap<String, Relation>,
-        epoch: u64,
-        next_null: NullId,
-    },
-    Bag {
-        schema: Schema,
-        relations: BTreeMap<String, BagRelation>,
-        epoch: u64,
-    },
+pub(crate) struct SnapshotContents<R> {
+    pub(crate) schema: Schema,
+    pub(crate) relations: BTreeMap<String, R>,
+    pub(crate) epoch: u64,
+    /// The null allocator; 0 for a bag snapshot, which does not record it.
+    pub(crate) next_null: NullId,
 }
 
 fn snapshot_path(dir: &Path, epoch: u64) -> PathBuf {
@@ -121,7 +119,8 @@ fn publish(dir: &Path, epoch: u64, body: Vec<u8>) -> Result<u64> {
     if let Ok(d) = fs::File::open(dir) {
         let _ = d.sync_all();
     }
-    prune(dir);
+    // The new snapshot is published; a stale file left behind is harmless.
+    let _ = prune(dir, RETAIN);
     obs::metrics().observe(
         HistogramId::SnapshotMicros,
         u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX),
@@ -129,21 +128,26 @@ fn publish(dir: &Path, epoch: u64, body: Vec<u8>) -> Result<u64> {
     Ok(bytes.len() as u64)
 }
 
-/// Remove stray temp files and snapshots older than the newest [`RETAIN`].
-fn prune(dir: &Path) {
-    let mut snaps = list_snapshots(dir);
+/// Remove stray temp files and all snapshots but the newest `keep`. A
+/// missing directory has nothing to remove.
+///
+/// # Errors
+///
+/// Returns [`DataError::Io`] if a file cannot be removed.
+pub(crate) fn prune(dir: &Path, keep: usize) -> Result<()> {
+    let remove = |p: &Path| fs::remove_file(p).map_err(|e| io_err("snapshot.prune", &e));
     // `list_snapshots` sorts newest-first.
-    for p in snaps.drain(..).skip(RETAIN) {
-        let _ = fs::remove_file(p);
+    for p in list_snapshots(dir).into_iter().skip(keep) {
+        remove(&p)?;
     }
     if let Ok(entries) = fs::read_dir(dir) {
         for entry in entries.flatten() {
-            let name = entry.file_name();
-            if name.to_string_lossy().ends_with(TMP_SUFFIX) {
-                let _ = fs::remove_file(entry.path());
+            if entry.file_name().to_string_lossy().ends_with(TMP_SUFFIX) {
+                remove(&entry.path())?;
             }
         }
     }
+    Ok(())
 }
 
 /// All published snapshot files in `dir`, newest first.
@@ -164,48 +168,33 @@ fn list_snapshots(dir: &Path) -> Vec<PathBuf> {
     out
 }
 
-/// Serialize and publish a set-semantics snapshot.
-pub(crate) fn write_set(
+/// Serialize and publish a snapshot. Only a set snapshot records
+/// `next_null`.
+pub(crate) fn write<R: RelationKind>(
     dir: &Path,
     schema: &Schema,
-    relations: &BTreeMap<String, Relation>,
+    relations: &BTreeMap<String, R>,
     epoch: u64,
     next_null: NullId,
 ) -> Result<u64> {
     let mut body = Vec::new();
-    body.push(0u8);
+    body.push(R::SNAPSHOT_KIND);
     put_u64(&mut body, epoch);
-    put_u32(&mut body, next_null);
+    if R::SNAPSHOT_NEXT_NULL {
+        put_u32(&mut body, next_null);
+    }
     put_schema(&mut body, schema);
     put_u32(&mut body, relations.len() as u32);
     for (name, rel) in relations {
         put_str(&mut body, name);
-        put_relation(&mut body, rel);
+        rel.encode(&mut body);
     }
     publish(dir, epoch, body)
 }
 
-/// Serialize and publish a bag-semantics snapshot.
-pub(crate) fn write_bag(
-    dir: &Path,
-    schema: &Schema,
-    relations: &BTreeMap<String, BagRelation>,
-    epoch: u64,
-) -> Result<u64> {
-    let mut body = Vec::new();
-    body.push(1u8);
-    put_u64(&mut body, epoch);
-    put_schema(&mut body, schema);
-    put_u32(&mut body, relations.len() as u32);
-    for (name, rel) in relations {
-        put_str(&mut body, name);
-        put_bag_relation(&mut body, rel);
-    }
-    publish(dir, epoch, body)
-}
-
-/// Validate and decode one snapshot file.
-fn load_file(path: &Path) -> Result<SnapshotContents> {
+/// Validate and decode one snapshot file. `Ok(None)` is a valid snapshot
+/// of the other kind.
+fn load_file<R: RelationKind>(path: &Path) -> Result<Option<SnapshotContents<R>>> {
     let bytes = fs::read(path).map_err(|e| io_err("snapshot.read", &e))?;
     if bytes.len() < 24 || &bytes[..8] != MAGIC {
         return Err(corrupt("snapshot header invalid"));
@@ -225,55 +214,44 @@ fn load_file(path: &Path) -> Result<SnapshotContents> {
         return Err(corrupt("snapshot checksum mismatch"));
     }
     let mut r = Reader::new(body);
-    let kind = r.u8()?;
-    let epoch = r.u64()?;
-    match kind {
-        0 => {
-            let next_null = r.u32()?;
-            let schema = r.schema()?;
-            let count = r.u32()? as usize;
-            let mut relations = BTreeMap::new();
-            for _ in 0..count {
-                let name = r.str()?;
-                let rel = r.relation()?;
-                relations.insert(name, rel);
-            }
-            r.done()?;
-            Ok(SnapshotContents::Set {
-                schema,
-                relations,
-                epoch,
-                next_null,
-            })
-        }
-        1 => {
-            let schema = r.schema()?;
-            let count = r.u32()? as usize;
-            let mut relations = BTreeMap::new();
-            for _ in 0..count {
-                let name = r.str()?;
-                let rel = r.bag_relation()?;
-                relations.insert(name, rel);
-            }
-            r.done()?;
-            Ok(SnapshotContents::Bag {
-                schema,
-                relations,
-                epoch,
-            })
-        }
-        k => Err(corrupt(format!("unknown snapshot kind {k}"))),
+    match r.u8()? {
+        k if k == R::SNAPSHOT_KIND => {}
+        0 | 1 => return Ok(None),
+        k => return Err(corrupt(format!("unknown snapshot kind {k}"))),
     }
+    let epoch = r.u64()?;
+    let next_null = if R::SNAPSHOT_NEXT_NULL { r.u32()? } else { 0 };
+    let schema = r.schema()?;
+    let count = r.u32()? as usize;
+    let mut relations = BTreeMap::new();
+    for _ in 0..count {
+        let name = r.str()?;
+        let rel = R::decode(&mut r)?;
+        relations.insert(name, rel);
+    }
+    r.done()?;
+    Ok(Some(SnapshotContents {
+        schema,
+        relations,
+        epoch,
+        next_null,
+    }))
 }
 
 /// Load the newest valid snapshot in `dir`, skipping over invalid ones.
 /// Returns the contents and how many newer snapshots were skipped.
-pub(crate) fn load_latest(dir: &Path) -> Result<(SnapshotContents, usize)> {
+///
+/// # Errors
+///
+/// Returns [`DataError::Corrupt`] when no snapshot validates, or when the
+/// newest valid one holds the other kind of store.
+pub(crate) fn load_latest<R: RelationKind>(dir: &Path) -> Result<(SnapshotContents<R>, usize)> {
     let snaps = list_snapshots(dir);
     let mut skipped = 0usize;
     for path in &snaps {
         match load_file(path) {
-            Ok(c) => return Ok((c, skipped)),
+            Ok(Some(c)) => return Ok((c, skipped)),
+            Ok(None) => return Err(corrupt(R::WRONG_KIND)),
             Err(_) => skipped += 1,
         }
     }
@@ -287,6 +265,7 @@ pub(crate) fn load_latest(dir: &Path) -> Result<(SnapshotContents, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::relation::Relation;
     use crate::schema::RelationSchema;
     use crate::tup;
 
@@ -323,23 +302,13 @@ mod tests {
     fn snapshot_round_trip() {
         let dir = tmp_dir("roundtrip");
         let (schema, rels) = sample();
-        write_set(&dir, &schema, &rels, 7, 2).unwrap();
-        let (contents, skipped) = load_latest(&dir).unwrap();
+        write(&dir, &schema, &rels, 7, 2).unwrap();
+        let (contents, skipped) = load_latest::<Relation>(&dir).unwrap();
         assert_eq!(skipped, 0);
-        match contents {
-            SnapshotContents::Set {
-                schema: s,
-                relations,
-                epoch,
-                next_null,
-            } => {
-                assert_eq!(s, schema);
-                assert_eq!(relations, rels);
-                assert_eq!(epoch, 7);
-                assert_eq!(next_null, 2);
-            }
-            SnapshotContents::Bag { .. } => panic!("set snapshot decoded as bag"),
-        }
+        assert_eq!(contents.schema, schema);
+        assert_eq!(contents.relations, rels);
+        assert_eq!(contents.epoch, 7);
+        assert_eq!(contents.next_null, 2);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -347,20 +316,17 @@ mod tests {
     fn newer_corrupt_snapshot_falls_back_to_older() {
         let dir = tmp_dir("fallback");
         let (schema, rels) = sample();
-        write_set(&dir, &schema, &rels, 3, 2).unwrap();
-        write_set(&dir, &schema, &rels, 9, 2).unwrap();
+        write(&dir, &schema, &rels, 3, 2).unwrap();
+        write(&dir, &schema, &rels, 9, 2).unwrap();
         // Corrupt the newer snapshot's body.
         let newer = snapshot_path(&dir, 9);
         let mut bytes = fs::read(&newer).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
         fs::write(&newer, &bytes).unwrap();
-        let (contents, skipped) = load_latest(&dir).unwrap();
+        let (contents, skipped) = load_latest::<Relation>(&dir).unwrap();
         assert_eq!(skipped, 1);
-        match contents {
-            SnapshotContents::Set { epoch, .. } => assert_eq!(epoch, 3),
-            SnapshotContents::Bag { .. } => panic!("wrong kind"),
-        }
+        assert_eq!(contents.epoch, 3);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -368,17 +334,14 @@ mod tests {
     fn truncated_snapshot_is_rejected_not_fatal() {
         let dir = tmp_dir("truncated");
         let (schema, rels) = sample();
-        write_set(&dir, &schema, &rels, 2, 2).unwrap();
-        write_set(&dir, &schema, &rels, 5, 2).unwrap();
+        write(&dir, &schema, &rels, 2, 2).unwrap();
+        write(&dir, &schema, &rels, 5, 2).unwrap();
         let newer = snapshot_path(&dir, 5);
         let bytes = fs::read(&newer).unwrap();
         fs::write(&newer, &bytes[..bytes.len() / 2]).unwrap();
-        let (contents, skipped) = load_latest(&dir).unwrap();
+        let (contents, skipped) = load_latest::<Relation>(&dir).unwrap();
         assert_eq!(skipped, 1);
-        match contents {
-            SnapshotContents::Set { epoch, .. } => assert_eq!(epoch, 2),
-            SnapshotContents::Bag { .. } => panic!("wrong kind"),
-        }
+        assert_eq!(contents.epoch, 2);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -387,7 +350,7 @@ mod tests {
         let dir = tmp_dir("prune");
         let (schema, rels) = sample();
         for epoch in [1u64, 2, 3, 4, 5] {
-            write_set(&dir, &schema, &rels, epoch, 2).unwrap();
+            write(&dir, &schema, &rels, epoch, 2).unwrap();
         }
         let snaps = list_snapshots(&dir);
         assert_eq!(snaps.len(), 2);
@@ -399,7 +362,7 @@ mod tests {
     #[test]
     fn empty_dir_reports_no_valid_snapshot() {
         let dir = tmp_dir("empty");
-        let err = load_latest(&dir).unwrap_err();
+        let err = load_latest::<Relation>(&dir).unwrap_err();
         assert!(matches!(err, DataError::Corrupt { .. }));
         fs::remove_dir_all(&dir).unwrap();
     }

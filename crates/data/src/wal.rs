@@ -1,4 +1,4 @@
-//! Crash-safe write-ahead logging for [`Database`] / [`BagDatabase`].
+//! Crash-safe write-ahead logging for an [`Instance`], set or bag.
 //!
 //! The durability layer serializes the existing [`Delta`] vocabulary into a
 //! **length-prefixed, CRC32-checksummed, epoch-ordered** append-only log
@@ -7,7 +7,8 @@
 //! ([`recover`] / [`recover_bag`]) loads the newest valid snapshot and
 //! replays the WAL tail, tolerating torn, truncated or bit-flipped trailing
 //! records by stopping at the first bad frame instead of failing the whole
-//! store — exactly the contract a kill -9 leaves behind.
+//! store — exactly the contract a kill -9 leaves behind. One implementation
+//! serves both kinds of store; only the relation codec differs.
 //!
 //! ## Frame format
 //!
@@ -22,11 +23,11 @@
 //! `crc` is the [CRC-32/IEEE](crate::crc32) of the payload. Frame epochs
 //! are strictly increasing; a frame whose epoch does not advance is treated
 //! as corruption. Structural mutations — which the delta vocabulary cannot
-//! replay — are persisted as `Reset` frames carrying the relation's full
-//! post-change contents ([`WalRecord::ResetSet`] / [`WalRecord::ResetBag`]);
-//! for `relation_mut` the reset is deferred until the outstanding borrow
-//! has provably ended (the next logged mutation, or an explicit
-//! [`Database::sync_durable`]).
+//! replay — are persisted as [`WalRecord::Reset`] frames carrying the
+//! relation's full post-change contents (tag 1 in a set store, 2 in a bag
+//! store); for `relation_mut` the reset is deferred until the outstanding
+//! borrow has provably ended (the next logged mutation, or an explicit
+//! [`Instance::sync_durable`]).
 //!
 //! ## Crash injection
 //!
@@ -37,15 +38,11 @@
 //! `arm_crash_site` targets one site's n-th hit exactly. Production builds
 //! compile the checks away, and both functions with them.
 
-use crate::bag::BagRelation;
+use crate::codec::{put_delta, put_str, put_u32, put_u64, Reader};
 use crate::crc32::crc32;
-use crate::database::{BagDatabase, Database};
+use crate::database::{BagDatabase, Database, Instance, RelationKind};
 use crate::delta::Delta;
-use crate::relation::Relation;
-use crate::schema::{RelationSchema, Schema};
-use crate::snapshot::{self, SnapshotContents};
-use crate::tuple::Tuple;
-use crate::value::{Const, Value};
+use crate::snapshot;
 use crate::{DataError, Result};
 use certa_obs as obs;
 use obs::{HistogramId, MetricId};
@@ -61,301 +58,10 @@ pub const WAL_FILE: &str = "wal.log";
 /// prefix is treated as corruption rather than an allocation request.
 const MAX_FRAME: usize = 1 << 26;
 
-pub(crate) fn corrupt(detail: impl Into<String>) -> DataError {
-    DataError::Corrupt {
-        detail: detail.into(),
-    }
-}
-
 pub(crate) fn io_err(op: &str, e: &std::io::Error) -> DataError {
     DataError::Io {
         op: op.to_string(),
         detail: e.to_string(),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Binary codec (shared with the snapshot module)
-// ---------------------------------------------------------------------------
-
-pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-pub(crate) fn put_const(buf: &mut Vec<u8>, c: &Const) {
-    match c {
-        Const::Int(i) => {
-            buf.push(0);
-            put_u64(buf, *i as u64);
-        }
-        Const::Str(s) => {
-            buf.push(1);
-            put_str(buf, s);
-        }
-    }
-}
-
-pub(crate) fn put_value(buf: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Const(c) => {
-            buf.push(0);
-            put_const(buf, c);
-        }
-        Value::Null(n) => {
-            buf.push(1);
-            put_u32(buf, *n);
-        }
-    }
-}
-
-pub(crate) fn put_tuple(buf: &mut Vec<u8>, t: &Tuple) {
-    put_u32(buf, t.arity() as u32);
-    for v in t.iter() {
-        put_value(buf, v);
-    }
-}
-
-pub(crate) fn put_relation(buf: &mut Vec<u8>, r: &Relation) {
-    put_u32(buf, r.arity() as u32);
-    put_u32(buf, r.len() as u32);
-    for t in r.iter() {
-        put_tuple(buf, t);
-    }
-}
-
-pub(crate) fn put_bag_relation(buf: &mut Vec<u8>, r: &BagRelation) {
-    put_u32(buf, r.arity() as u32);
-    put_u32(buf, r.distinct_len() as u32);
-    for (t, n) in r.iter() {
-        put_tuple(buf, t);
-        put_u64(buf, n as u64);
-    }
-}
-
-pub(crate) fn put_schema(buf: &mut Vec<u8>, s: &Schema) {
-    put_u32(buf, s.len() as u32);
-    for rel in s.iter() {
-        put_str(buf, rel.name());
-        put_u32(buf, rel.attributes().len() as u32);
-        for a in rel.attributes() {
-            put_str(buf, a);
-        }
-    }
-}
-
-pub(crate) fn put_delta(buf: &mut Vec<u8>, d: &Delta) {
-    match d {
-        Delta::Insert { relation, tuples } => {
-            buf.push(0);
-            put_str(buf, relation);
-            put_u32(buf, tuples.len() as u32);
-            for t in tuples {
-                put_tuple(buf, t);
-            }
-        }
-        Delta::Delete { relation, tuples } => {
-            buf.push(1);
-            put_str(buf, relation);
-            put_u32(buf, tuples.len() as u32);
-            for t in tuples {
-                put_tuple(buf, t);
-            }
-        }
-        Delta::Resolve { null, value } => {
-            buf.push(2);
-            put_u32(buf, *null);
-            put_const(buf, value);
-        }
-        Delta::Structural => buf.push(3),
-    }
-}
-
-/// Bounded cursor over an encoded payload; every read is length-checked and
-/// reports a typed [`DataError::Corrupt`] instead of panicking.
-pub(crate) struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.buf.len() - self.pos < n {
-            return Err(corrupt("payload ends mid-field"));
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32> {
-        let b = self.bytes(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64> {
-        let b = self.bytes(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
-
-    pub(crate) fn str(&mut self) -> Result<String> {
-        let len = self.u32()? as usize;
-        let b = self.bytes(len)?;
-        String::from_utf8(b.to_vec()).map_err(|_| corrupt("string field is not utf-8"))
-    }
-
-    pub(crate) fn const_(&mut self) -> Result<Const> {
-        match self.u8()? {
-            0 => Ok(Const::Int(self.u64()? as i64)),
-            1 => Ok(Const::str(self.str()?)),
-            t => Err(corrupt(format!("unknown const tag {t}"))),
-        }
-    }
-
-    pub(crate) fn value(&mut self) -> Result<Value> {
-        match self.u8()? {
-            0 => Ok(Value::Const(self.const_()?)),
-            1 => Ok(Value::Null(self.u32()?)),
-            t => Err(corrupt(format!("unknown value tag {t}"))),
-        }
-    }
-
-    pub(crate) fn tuple(&mut self) -> Result<Tuple> {
-        let arity = self.u32()? as usize;
-        if arity > self.buf.len() - self.pos {
-            return Err(corrupt("tuple arity exceeds payload"));
-        }
-        let mut vs = Vec::with_capacity(arity);
-        for _ in 0..arity {
-            vs.push(self.value()?);
-        }
-        Ok(Tuple::new(vs))
-    }
-
-    pub(crate) fn relation(&mut self) -> Result<Relation> {
-        let arity = self.u32()? as usize;
-        let count = self.u32()? as usize;
-        if count > self.buf.len() - self.pos {
-            return Err(corrupt("relation count exceeds payload"));
-        }
-        let mut tuples = Vec::with_capacity(count);
-        for _ in 0..count {
-            let t = self.tuple()?;
-            if t.arity() != arity {
-                return Err(corrupt("relation tuple arity mismatch"));
-            }
-            tuples.push(t);
-        }
-        Ok(Relation::with_arity(arity, tuples))
-    }
-
-    pub(crate) fn bag_relation(&mut self) -> Result<BagRelation> {
-        let arity = self.u32()? as usize;
-        let count = self.u32()? as usize;
-        if count > self.buf.len() - self.pos {
-            return Err(corrupt("bag relation count exceeds payload"));
-        }
-        let mut items = Vec::with_capacity(count);
-        for _ in 0..count {
-            let t = self.tuple()?;
-            if t.arity() != arity {
-                return Err(corrupt("bag relation tuple arity mismatch"));
-            }
-            let n = self.u64()?;
-            let n = usize::try_from(n).map_err(|_| corrupt("bag multiplicity overflow"))?;
-            items.push((t, n));
-        }
-        Ok(BagRelation::from_counted(arity, items))
-    }
-
-    pub(crate) fn schema(&mut self) -> Result<Schema> {
-        let count = self.u32()? as usize;
-        if count > self.buf.len() - self.pos {
-            return Err(corrupt("schema relation count exceeds payload"));
-        }
-        let mut rels = Vec::with_capacity(count);
-        for _ in 0..count {
-            let name = self.str()?;
-            let n_attrs = self.u32()? as usize;
-            if n_attrs > self.buf.len() - self.pos {
-                return Err(corrupt("schema attribute count exceeds payload"));
-            }
-            let mut attrs = Vec::with_capacity(n_attrs);
-            for _ in 0..n_attrs {
-                attrs.push(self.str()?);
-            }
-            rels.push(RelationSchema::new(name, attrs));
-        }
-        Schema::from_relations(rels).map_err(|e| corrupt(format!("invalid schema: {e}")))
-    }
-
-    pub(crate) fn delta(&mut self) -> Result<Delta> {
-        match self.u8()? {
-            0 | 1 => {
-                let is_insert = self.buf[self.pos - 1] == 0;
-                let relation = self.str()?;
-                let count = self.u32()? as usize;
-                if count > self.buf.len() - self.pos {
-                    return Err(corrupt("delta tuple count exceeds payload"));
-                }
-                let mut tuples = Vec::with_capacity(count);
-                for _ in 0..count {
-                    tuples.push(self.tuple()?);
-                }
-                Ok(if is_insert {
-                    Delta::Insert { relation, tuples }
-                } else {
-                    Delta::Delete { relation, tuples }
-                })
-            }
-            2 => Ok(Delta::Resolve {
-                null: self.u32()?,
-                value: self.const_()?,
-            }),
-            3 => Ok(Delta::Structural),
-            t => Err(corrupt(format!("unknown delta tag {t}"))),
-        }
-    }
-
-    pub(crate) fn record(&mut self) -> Result<WalRecord> {
-        match self.u8()? {
-            0 => Ok(WalRecord::Delta(self.delta()?)),
-            1 => Ok(WalRecord::ResetSet {
-                relation: self.str()?,
-                rel: self.relation()?,
-            }),
-            2 => Ok(WalRecord::ResetBag {
-                relation: self.str()?,
-                rel: self.bag_relation()?,
-            }),
-            t => Err(corrupt(format!("unknown wal record tag {t}"))),
-        }
-    }
-
-    pub(crate) fn done(&self) -> Result<()> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(corrupt("trailing bytes after record"))
-        }
     }
 }
 
@@ -364,22 +70,15 @@ impl<'a> Reader<'a> {
 /// (the durable form of [`Delta::Structural`], which by itself says only
 /// "something changed").
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WalRecord {
+pub enum WalRecord<R> {
     /// A typed mutation, replayed through the delta vocabulary.
     Delta(Delta),
-    /// Wholesale replacement of a set-semantics relation.
-    ResetSet {
+    /// Wholesale replacement of a relation of the store's kind.
+    Reset {
         /// Target relation name.
         relation: String,
         /// The relation's complete contents after the structural change.
-        rel: Relation,
-    },
-    /// Wholesale replacement of a bag-semantics relation.
-    ResetBag {
-        /// Target relation name.
-        relation: String,
-        /// The relation's complete contents after the structural change.
-        rel: BagRelation,
+        rel: R,
     },
 }
 
@@ -537,15 +236,15 @@ pub(crate) fn mangle(bytes: &[u8], r: u64) -> Vec<u8> {
 // WAL scanning
 // ---------------------------------------------------------------------------
 
-pub(crate) struct ScannedFrame {
+pub(crate) struct ScannedFrame<R> {
     pub(crate) epoch: u64,
-    pub(crate) record: WalRecord,
+    pub(crate) record: WalRecord<R>,
     /// Byte offset where this frame starts, for truncate-on-replay-failure.
     pub(crate) start: u64,
 }
 
-pub(crate) struct ScannedWal {
-    pub(crate) frames: Vec<ScannedFrame>,
+pub(crate) struct ScannedWal<R> {
+    pub(crate) frames: Vec<ScannedFrame<R>>,
     /// Prefix length (bytes) covered by valid frames; everything after is
     /// torn/corrupt tail and is truncated away on reattach.
     pub(crate) valid_bytes: u64,
@@ -555,7 +254,7 @@ pub(crate) struct ScannedWal {
 
 /// Scan a WAL file, stopping (not erroring) at the first bad frame. A
 /// missing file is an empty log.
-pub(crate) fn scan_wal(path: &Path) -> Result<ScannedWal> {
+pub(crate) fn scan_wal<R: RelationKind>(path: &Path) -> Result<ScannedWal<R>> {
     let bytes = match std::fs::read(path) {
         Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
@@ -567,7 +266,7 @@ pub(crate) fn scan_wal(path: &Path) -> Result<ScannedWal> {
         }
         Err(e) => return Err(io_err("wal.read", &e)),
     };
-    let mut frames: Vec<ScannedFrame> = Vec::new();
+    let mut frames: Vec<ScannedFrame<R>> = Vec::new();
     let mut pos = 0usize;
     let mut truncated = None;
     while pos < bytes.len() {
@@ -597,7 +296,7 @@ pub(crate) fn scan_wal(path: &Path) -> Result<ScannedWal> {
             break;
         }
         let mut r = Reader::new(payload);
-        let decoded = (|| -> Result<(u64, WalRecord)> {
+        let decoded = (|| -> Result<(u64, WalRecord<R>)> {
             let epoch = r.u64()?;
             let record = r.record()?;
             r.done()?;
@@ -681,15 +380,15 @@ impl DurabilityStats {
     }
 }
 
-/// The durability attachment of a [`Database`] / [`BagDatabase`]: an open
-/// append handle on the WAL plus the bookkeeping that every mutation flows
-/// through before the mutator returns.
+/// The durability attachment of an [`Instance`]: an open append handle on
+/// the WAL plus the bookkeeping that every mutation flows through before
+/// the mutator returns.
 ///
 /// Frames are appended with a plain `write_all`, with no fsync: a written
 /// frame survives a process crash (`kill -9`), but survives power loss only
-/// once the owner's [`Database::sync_durable`],
-/// [`Database::snapshot_durable`] or [`Database::detach_durable`] (or the
-/// [`BagDatabase`] equivalent) has returned.
+/// once the owner's [`Instance::sync_durable`],
+/// [`Instance::snapshot_durable`] or [`Instance::detach_durable`] has
+/// returned.
 ///
 /// A poisoned log (injected crash or real I/O error) permanently stops
 /// writing — modelling a dead process, so the on-disk prefix stays exactly
@@ -713,7 +412,8 @@ pub struct DurableLog {
 
 impl DurableLog {
     /// Create (or take over) a durability directory: `wal.log` is opened
-    /// fresh. The caller writes the baseline snapshot.
+    /// fresh. The caller removes the old snapshots first and writes the
+    /// baseline snapshot after.
     pub(crate) fn attach(dir: &Path) -> Result<Self> {
         std::fs::create_dir_all(dir).map_err(|e| io_err("wal.create_dir", &e))?;
         let file = OpenOptions::new()
@@ -835,34 +535,17 @@ impl DurableLog {
         self.write_frame(payload)
     }
 
-    pub(crate) fn append_reset_set(
+    pub(crate) fn append_reset<R: RelationKind>(
         &mut self,
         epoch: u64,
         name: &str,
-        rel: &Relation,
+        rel: &R,
     ) -> Result<()> {
         let mut payload = Vec::new();
         put_u64(&mut payload, epoch);
-        payload.push(1); // WalRecord::ResetSet
+        payload.push(R::RESET_TAG); // WalRecord::Reset
         put_str(&mut payload, name);
-        put_relation(&mut payload, rel);
-        self.write_frame(payload)?;
-        self.reset_frames += 1;
-        obs::metrics().add(MetricId::WalResetFrames, 1);
-        Ok(())
-    }
-
-    pub(crate) fn append_reset_bag(
-        &mut self,
-        epoch: u64,
-        name: &str,
-        rel: &BagRelation,
-    ) -> Result<()> {
-        let mut payload = Vec::new();
-        put_u64(&mut payload, epoch);
-        payload.push(2); // WalRecord::ResetBag
-        put_str(&mut payload, name);
-        put_bag_relation(&mut payload, rel);
+        rel.encode(&mut payload);
         self.write_frame(payload)?;
         self.reset_frames += 1;
         obs::metrics().add(MetricId::WalResetFrames, 1);
@@ -921,15 +604,6 @@ pub struct RecoveryReport {
     pub recovered_epoch: u64,
 }
 
-fn recover_inner(dir: &Path) -> Result<(SnapshotContents, usize, ScannedWal)> {
-    let contents = {
-        let _s = obs::span("recovery:load_snapshot");
-        snapshot::load_latest(dir)?
-    };
-    let scanned = scan_wal(&dir.join(WAL_FILE))?;
-    Ok((contents.0, contents.1, scanned))
-}
-
 /// Recover a set-semantics [`Database`] from a durability directory: load
 /// the newest valid snapshot, replay the WAL tail up to the first bad
 /// frame, truncate the bad tail, and re-attach the log so further mutations
@@ -942,56 +616,11 @@ fn recover_inner(dir: &Path) -> Result<(SnapshotContents, usize, ScannedWal)> {
 /// # Errors
 ///
 /// Returns [`DataError::Corrupt`] when no snapshot in `dir` validates (a
-/// valid store always has at least its attach-time baseline), or
-/// [`DataError::Io`] on filesystem failures.
+/// valid store always has at least its attach-time baseline) or the store
+/// holds a bag-semantics database, and [`DataError::Io`] on filesystem
+/// failures.
 pub fn recover(dir: impl AsRef<Path>) -> Result<(Database, RecoveryReport)> {
-    let dir = dir.as_ref();
-    let t0 = Instant::now();
-    let _span = obs::span("recovery:recover");
-    let (contents, snapshots_skipped, scanned) = recover_inner(dir)?;
-    let SnapshotContents::Set {
-        schema,
-        relations,
-        epoch: snapshot_epoch,
-        next_null,
-    } = contents
-    else {
-        return Err(corrupt(
-            "durable store holds a bag database; use recover_bag",
-        ));
-    };
-    let mut db = Database::from_snapshot(schema, relations, snapshot_epoch, next_null);
-    let mut report = RecoveryReport {
-        snapshot_epoch,
-        snapshots_skipped,
-        frames_replayed: 0,
-        frames_skipped: 0,
-        wal_truncated: scanned.truncated.clone(),
-        recovered_epoch: snapshot_epoch,
-    };
-    let mut valid_bytes = scanned.valid_bytes;
-    {
-        let _s = obs::span("recovery:replay");
-        for f in &scanned.frames {
-            if f.epoch <= snapshot_epoch {
-                report.frames_skipped += 1;
-                continue;
-            }
-            match db.replay_record(f.epoch, &f.record) {
-                Ok(()) => report.frames_replayed += 1,
-                Err(e) => {
-                    report.wal_truncated = Some(format!("replay stopped: {e}"));
-                    valid_bytes = f.start;
-                    break;
-                }
-            }
-        }
-    }
-    let log = DurableLog::reattach(dir, valid_bytes, snapshot_epoch)?;
-    db.set_durable(log);
-    report.recovered_epoch = db.epoch();
-    finish_recovery_metrics(&report, t0);
-    Ok((db, report))
+    recover_store(dir.as_ref())
 }
 
 /// Recover a bag-semantics [`BagDatabase`]; see [`recover`].
@@ -1001,19 +630,20 @@ pub fn recover(dir: impl AsRef<Path>) -> Result<(Database, RecoveryReport)> {
 /// As [`recover`], plus [`DataError::Corrupt`] when the store holds a
 /// set-semantics database.
 pub fn recover_bag(dir: impl AsRef<Path>) -> Result<(BagDatabase, RecoveryReport)> {
-    let dir = dir.as_ref();
+    recover_store(dir.as_ref())
+}
+
+/// The recovery behind [`recover`] and [`recover_bag`].
+fn recover_store<R: RelationKind>(dir: &Path) -> Result<(Instance<R>, RecoveryReport)> {
     let t0 = Instant::now();
     let _span = obs::span("recovery:recover");
-    let (contents, snapshots_skipped, scanned) = recover_inner(dir)?;
-    let SnapshotContents::Bag {
-        schema,
-        relations,
-        epoch: snapshot_epoch,
-    } = contents
-    else {
-        return Err(corrupt("durable store holds a set database; use recover"));
+    let (contents, snapshots_skipped) = {
+        let _s = obs::span("recovery:load_snapshot");
+        snapshot::load_latest::<R>(dir)?
     };
-    let mut db = BagDatabase::from_snapshot(schema, relations, snapshot_epoch);
+    let scanned = scan_wal::<R>(&dir.join(WAL_FILE))?;
+    let snapshot_epoch = contents.epoch;
+    let mut db = Instance::from_snapshot(contents);
     let mut report = RecoveryReport {
         snapshot_epoch,
         snapshots_skipped,
@@ -1066,7 +696,12 @@ fn finish_recovery_metrics(report: &RecoveryReport, t0: Instant) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bag::BagRelation;
+    use crate::codec::{put_bag_relation, put_relation, put_schema};
+    use crate::relation::Relation;
+    use crate::schema::{RelationSchema, Schema};
     use crate::tup;
+    use crate::value::{Const, Value};
 
     fn roundtrip_delta(d: &Delta) {
         let mut buf = Vec::new();
@@ -1122,7 +757,10 @@ mod tests {
     #[test]
     fn decoder_rejects_garbage_with_typed_errors() {
         let mut r = Reader::new(&[9, 9, 9]);
-        assert!(matches!(r.record(), Err(DataError::Corrupt { .. })));
+        assert!(matches!(
+            r.record::<Relation>(),
+            Err(DataError::Corrupt { .. })
+        ));
         let mut r = Reader::new(&[]);
         assert!(matches!(r.u32(), Err(DataError::Corrupt { .. })));
         // A tuple claiming more values than the payload can hold must not
@@ -1155,7 +793,7 @@ mod tests {
         }
         drop(log);
         let clean = std::fs::read(&path).unwrap();
-        let full = scan_wal(&path).unwrap();
+        let full = scan_wal::<Relation>(&path).unwrap();
         assert_eq!(full.frames.len(), 4);
         assert_eq!(full.valid_bytes, clean.len() as u64);
         assert!(full.truncated.is_none());
@@ -1168,7 +806,7 @@ mod tests {
         // longest valid frame prefix and report the tear.
         for cut in 0..clean.len() {
             std::fs::write(&path, &clean[..cut]).unwrap();
-            let s = scan_wal(&path).unwrap();
+            let s = scan_wal::<Relation>(&path).unwrap();
             assert!(s.frames.len() <= 4);
             assert!(s.valid_bytes <= cut as u64);
             if cut < clean.len() {
@@ -1186,7 +824,7 @@ mod tests {
         let last = flipped.len() - 3;
         flipped[last] ^= 0xFF;
         std::fs::write(&path, &flipped).unwrap();
-        let s = scan_wal(&path).unwrap();
+        let s = scan_wal::<Relation>(&path).unwrap();
         assert_eq!(s.frames.len(), 3);
         assert!(s.truncated.is_some());
 
@@ -1195,7 +833,7 @@ mod tests {
 
     #[test]
     fn missing_wal_is_an_empty_log() {
-        let s = scan_wal(Path::new("/nonexistent/certa/wal.log")).unwrap();
+        let s = scan_wal::<Relation>(Path::new("/nonexistent/certa/wal.log")).unwrap();
         assert!(s.frames.is_empty());
         assert_eq!(s.valid_bytes, 0);
         assert!(s.truncated.is_none());

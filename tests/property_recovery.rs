@@ -22,8 +22,8 @@
 //!
 //! The crash schedule is process-global, so every test in this file holds
 //! `FILE_LOCK`: a test that only writes would otherwise hit a crash armed
-//! by another. The byte-surgery and clean-shutdown tests need no
-//! feature; the injected-crash tests run under `--features
+//! by another. The byte-surgery, clean-shutdown, file-format and takeover
+//! tests need no feature; the injected-crash tests run under `--features
 //! fault-injection` (CI drives them over a seed matrix via
 //! `CERTA_RECOVERY_SEED_BASE`).
 
@@ -352,6 +352,147 @@ fn restore_dir(src: &Path, dst: &Path) {
     for entry in std::fs::read_dir(src).unwrap() {
         let entry = entry.unwrap();
         std::fs::copy(entry.path(), dst.join(entry.file_name())).unwrap();
+    }
+}
+
+/// Every file in `dir` as `"<name> <length> <CRC-32 in hex>"`, in name
+/// order.
+fn store_files(dir: &Path) -> Vec<String> {
+    let mut files: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| {
+            let entry = entry.unwrap();
+            let bytes = std::fs::read(entry.path()).unwrap();
+            format!(
+                "{} {} {:08x}",
+                entry.file_name().to_string_lossy(),
+                bytes.len(),
+                certa::data::crc32::crc32(&bytes)
+            )
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// The on-disk format is pinned: a fixed script over a set store and a
+/// bag store, covering every WAL frame kind (insert, delete and resolve
+/// deltas, set and bag resets, immediate and deferred) and both snapshot
+/// kinds, must write exactly these files. Every other durability test
+/// writes and reads with the same code, so a format change that still
+/// round-trips would pass them and break stores written by earlier builds.
+#[test]
+fn durable_files_keep_their_bytes() {
+    let _guard = serialize();
+
+    let dir = test_dir("bytes-set");
+    let r = vec![tup![1, 2], tup![3, Value::null(0)]];
+    let mut db = database_from_literal([
+        ("R", vec!["a", "b"], r),
+        ("S", vec!["c"], vec![tup![Value::null(1)]]),
+    ]);
+    db.attach_durable(&dir).unwrap();
+    db.insert("R", tup![9, 9]).unwrap();
+    db.insert_all("R", vec![tup![10, "x"], tup![11, Value::null(5)]])
+        .unwrap();
+    db.delete("R", &tup![1, 2]).unwrap();
+    db.retain("R", |t| t[0] != Value::int(3)).unwrap();
+    assert_eq!(db.resolve_null(1, Const::int(77)), 1);
+    db.set_relation("S", Relation::from_tuples(vec![tup![5], tup!["y"]]))
+        .unwrap();
+    db.relation_mut("R").unwrap().insert(tup![42, 42]);
+    db.detach_durable().unwrap();
+    assert_eq!(
+        store_files(&dir),
+        [
+            "snap-00000000000000000002.snap 156 7c9672aa",
+            "wal.log 419 7530ff00"
+        ],
+        "set store"
+    );
+    assert_eq!(recover(&dir).unwrap().0, db);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let dir = test_dir("bytes-bag");
+    let mut bag = certa::data::BagDatabase::new(db.schema().clone());
+    bag.attach_durable(&dir).unwrap();
+    bag.insert_n("R", tup![1, Value::null(3)], 1).unwrap();
+    bag.insert_n("R", tup![1, Value::null(3)], 2).unwrap();
+    bag.insert_n("R", tup![2, "z"], 4).unwrap();
+    assert_eq!(bag.resolve_null(3, Const::int(9)), 1);
+    assert_eq!(bag.delete("R", &tup![2, "z"]).unwrap(), 4);
+    bag.relation_mut("S").unwrap().insert_n(tup![8], 6);
+    bag.insert_n("S", tup![Value::null(4)], 1).unwrap();
+    assert_eq!(bag.retain("S", |t| t[0] == Value::int(8)).unwrap(), 1);
+    bag.detach_durable().unwrap();
+    assert_eq!(
+        store_files(&dir),
+        [
+            "snap-00000000000000000000.snap 100 0d7833ee",
+            "wal.log 392 b9594683"
+        ],
+        "bag store"
+    );
+    assert_eq!(recover_bag(&dir).unwrap().0, bag);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Attaching a store to a directory another store used replaces that
+/// store's snapshots: recovery returns the new store, never the old one,
+/// even when the old snapshots are newer by epoch. Recovering the new
+/// store as the other kind names the function that recovers it.
+#[test]
+fn attach_replaces_another_stores_snapshots() {
+    let _guard = serialize();
+    for bag_b in [false, true] {
+        let dir = test_dir(&format!("takeover-{bag_b}"));
+        let schema = database_from_literal([("R", vec!["a"], vec![])])
+            .schema()
+            .clone();
+        let mut a = Database::new(schema.clone());
+        a.attach_durable(&dir).unwrap();
+        for i in 0..11 {
+            a.insert("R", tup![i]).unwrap();
+        }
+        a.snapshot_durable().unwrap();
+        a.insert("R", tup![11]).unwrap();
+        a.snapshot_durable().unwrap();
+        assert_eq!(a.epoch(), 12);
+        a.detach_durable().unwrap();
+
+        if bag_b {
+            let mut b = certa::data::BagDatabase::new(schema);
+            b.insert_n("R", tup![100], 1).unwrap();
+            assert_eq!(b.epoch(), 1);
+            b.attach_durable(&dir).unwrap();
+            b.insert_n("R", tup![101], 1).unwrap();
+            b.sync_durable().unwrap();
+            let (recovered, report) = recover_bag(&dir).unwrap();
+            assert_eq!(recovered, b, "bag store B: {report:?}");
+            assert_eq!(recovered.epoch(), 2);
+            let err = recover(&dir).unwrap_err();
+            assert!(
+                err.to_string()
+                    .contains("holds a bag database; use recover_bag"),
+                "{err}"
+            );
+        } else {
+            let mut b = database_from_literal([("R", vec!["a"], vec![tup![100]])]);
+            assert_eq!(b.epoch(), 1);
+            b.attach_durable(&dir).unwrap();
+            b.insert("R", tup![101]).unwrap();
+            b.sync_durable().unwrap();
+            let (recovered, report) = recover(&dir).unwrap();
+            assert_eq!(recovered, b, "set store B: {report:?}");
+            assert_eq!(recovered.epoch(), 2);
+            let err = recover_bag(&dir).unwrap_err();
+            assert!(
+                err.to_string()
+                    .contains("holds a set database; use recover"),
+                "{err}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
