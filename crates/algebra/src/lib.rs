@@ -82,7 +82,7 @@ pub use fragment::{classify, Fragment};
 pub use governor::{CancelToken, ExecBudget, Governor, GovernorAccounting};
 pub use mask::{ColumnarContext, ColumnarExec, ColumnarRel, ExecStats};
 pub use morsel::{effective_threads, MorselPool, MORSEL_ROWS};
-pub use naive::naive_eval;
+pub use naive::{naive_eval, naive_eval_prepared};
 pub use opt::{optimize, optimize_with, Stats};
 pub use physical::{
     delta_profile, AnnRel, Annotation, BagAnn, BagValuationSource, DeltaProfile, OpKind, PhysOp,

@@ -353,6 +353,12 @@ impl ColumnarContext {
     /// Build a context for the given nulls (ascending order, matching the
     /// engines' world indexing) over a constant pool. `None` when the world
     /// count `|pool|^|nulls|` overflows `usize`.
+    ///
+    /// The stripes are built one period at a time. `S(p, c)` repeats every
+    /// `k^(p+1)` bits (`k = |pool|`), hence every `k^(p+1)` words: the first
+    /// block of words is set run by run, the rest is copied forward from
+    /// it, and the bits at or above the world count are cleared in the last
+    /// word (the tail invariant every mask kernel keeps).
     pub fn new(
         nulls: impl IntoIterator<Item = NullId>,
         pool: impl IntoIterator<Item = Const>,
@@ -368,14 +374,27 @@ impl ColumnarContext {
         let mut stripes = MaskArena::with_capacity(width, nulls.len() * k);
         let mut step = 1usize; // k^p
         for _ in 0..nulls.len() {
+            // k^(p+1) ≤ k^|nulls| = worlds, so the period never overflows.
+            let period = (step * k).min(width);
+            let set_below = (period * 64).min(worlds);
             for c in 0..k {
                 let slot = stripes.push_zeroed();
                 let words = stripes.row_mut(slot);
                 let mut lo = c * step;
-                while lo < worlds {
-                    let hi = (lo + step).min(worlds);
-                    kernel::set_range(words, lo, hi);
+                while lo < set_below {
+                    kernel::set_range(words, lo, (lo + step).min(set_below));
                     lo += step * k;
+                }
+                // Copy the filled prefix (a whole number of periods) after
+                // itself until the row is full.
+                let mut filled = period;
+                while filled < width {
+                    let n = filled.min(width - filled);
+                    words.copy_within(..n, filled);
+                    filled += n;
+                }
+                if let Some(last) = words.last_mut() {
+                    *last &= kernel::tail_mask(worlds);
                 }
             }
             step = step.saturating_mul(k);
@@ -594,6 +613,42 @@ mod tests {
                 assert_eq!(bit(c.stripe(0, ci), idx), idx % 3 == ci);
             }
         }
+    }
+
+    #[test]
+    fn stripes_match_their_definition_on_every_small_shape() {
+        // Every shape of up to 6 nulls over pools of 1–13 constants with at
+        // most 2^17 worlds: stripe (p, c) is exactly `{ idx | digit_p(idx)
+        // = c }`, and every bit at or above the world count is zero.
+        let mut stripes = 0;
+        for nulls in 1..=6 {
+            for k in 1..=13usize {
+                let worlds = count_valuations(nulls, k);
+                if worlds > 1 << 17 {
+                    continue;
+                }
+                let c = ctx(nulls, k);
+                assert_eq!(c.worlds(), worlds);
+                let mut step = 1; // k^p
+                for p in 0..nulls {
+                    for ci in 0..k {
+                        let words = c.stripe(p, ci);
+                        assert_eq!(words.len(), c.width());
+                        for idx in 0..words.len() * 64 {
+                            let expected = idx < worlds && (idx / step) % k == ci;
+                            assert_eq!(
+                                bit(words, idx),
+                                expected,
+                                "{nulls} null(s), pool {k}: stripe ({p}, {ci}) at bit {idx}"
+                            );
+                        }
+                        stripes += 1;
+                    }
+                    step *= k;
+                }
+            }
+        }
+        assert_eq!(stripes, 1353);
     }
 
     #[test]

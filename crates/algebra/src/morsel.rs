@@ -13,17 +13,18 @@
 //! decides only *who* computes a morsel, never *what* the morsel is.
 //!
 //! The pool is std-only (`std::thread::scope` + one `AtomicUsize`), worker
-//! counts are clamped to [`std::thread::available_parallelism`] (a request
-//! for 16 workers on a 1-CPU host runs 1 worker and reports so), and every
-//! morsel runs under `catch_unwind`, so a panicking worker comes back as a
-//! typed [`GovernorError::WorkerPanicked`] instead of unwinding the scope.
+//! counts are clamped to [`std::thread::available_parallelism`], read once
+//! per process (a request for 16 workers on a 1-CPU host runs 1 worker and
+//! reports so), and every morsel runs under `catch_unwind`, so a panicking
+//! worker comes back as a typed [`GovernorError::WorkerPanicked`] instead
+//! of unwinding the scope.
 
 use crate::governor;
 use certa_data::GovernorError;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Rows per morsel: small enough that the columnar chunk (rows + mask
 /// words) stays cache-resident, large enough to amortize the cursor fetch.
@@ -32,8 +33,18 @@ pub const MORSEL_ROWS: usize = 1024;
 /// Clamp a requested worker count to the host: `0` means "all available",
 /// anything else is capped at [`std::thread::available_parallelism`].
 /// Always at least 1.
+///
+/// The host value is read once per process and kept: on Linux
+/// `available_parallelism` reads the cgroup CPU quota from `/proc` and
+/// `/sys`, tens of microseconds per call, and every mask pass builds a
+/// pool. A later change of the process's CPU quota therefore no longer
+/// changes the pool width. That can change speed, never an answer: output
+/// is bit-identical for every worker count.
 pub fn effective_threads(requested: usize) -> usize {
-    let available = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    static AVAILABLE: OnceLock<usize> = OnceLock::new();
+    let available = *AVAILABLE.get_or_init(|| {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    });
     match requested {
         0 => available,
         n => n.min(available),
@@ -50,7 +61,8 @@ pub struct MorselPool {
 
 impl MorselPool {
     /// A pool with the given requested worker count (`0` = all available),
-    /// clamped to the host's parallelism.
+    /// clamped by [`effective_threads`] to the host's parallelism as read
+    /// once per process.
     pub fn new(requested: usize) -> MorselPool {
         MorselPool {
             requested,

@@ -14,9 +14,14 @@
 //! survey: naïve evaluation computes certain answers with nulls for UCQs
 //! under owa and for Pos∀G queries under cwa; Theorem 4.10: it computes
 //! exactly the *almost certainly true* answers for every generic query.
+//!
+//! `v(D)` is never materialised: the prepared plan runs over a
+//! [`ValuationSource`](crate::physical::ValuationSource), which substitutes
+//! the fresh constants tuple by tuple during the scans, as the world
+//! engines do for every possible world.
 
-use crate::eval::eval;
 use crate::expr::RaExpr;
+use crate::physical::PreparedQuery;
 use crate::Result;
 use certa_data::{Const, Database, Relation, Valuation, Value};
 use std::collections::BTreeSet;
@@ -27,23 +32,42 @@ use std::collections::BTreeSet;
 /// constants, evaluating, and renaming back is equivalent to evaluating the
 /// syntactic-equality semantics directly on the database with nulls — except
 /// in the presence of the `const(·)`/`null(·)` predicates, which are not
-/// generic. We therefore perform the renaming faithfully.
+/// generic. We therefore perform the renaming faithfully, through a
+/// valuation source and with no copy of the database
+/// ([`naive_eval_prepared`], avoiding `Const(D) ∪ Const(Q)`).
 ///
 /// # Errors
 ///
 /// Returns an error if the expression is ill-formed for the schema.
 pub fn naive_eval(expr: &RaExpr, db: &Database) -> Result<Relation> {
-    let nulls = db.nulls();
-    if nulls.is_empty() {
-        return eval(expr, db);
-    }
-    // Fresh constants must avoid both the database constants and the query
-    // constants (§4.1's definition of a bijective valuation).
-    let mut avoid: BTreeSet<Const> = db.consts();
+    let prepared = PreparedQuery::prepare(expr, db.schema())?;
+    let mut avoid = db.consts();
     avoid.extend(expr.consts());
-    let v = Valuation::bijective_fresh(&nulls, &avoid);
-    let renamed = v.apply_database(db);
-    let output = eval(expr, &renamed)?;
+    naive_eval_prepared(&prepared, db, &avoid)
+}
+
+/// [`naive_eval`] of a prepared plan, with the bijective renaming `v` taking
+/// the nulls of `D` to fresh constants outside `avoid`.
+///
+/// `avoid` must hold every constant of `D` and of the query (a superset is
+/// fine: the renaming stays bijective and fresh, §4.1). The plan runs over
+/// `v(D)` presented zero-copy through a
+/// [`ValuationSource`](crate::physical::ValuationSource), and the fresh
+/// constants of the output are mapped back to their nulls.
+///
+/// # Errors
+///
+/// As [`PreparedQuery::eval_set_world`].
+pub fn naive_eval_prepared(
+    prepared: &PreparedQuery,
+    db: &Database,
+    avoid: &BTreeSet<Const>,
+) -> Result<Relation> {
+    let v = Valuation::bijective_fresh(&db.nulls(), avoid);
+    let output = prepared.eval_set_world(db, &v)?;
+    if v.is_empty() {
+        return Ok(output);
+    }
     let inverse = v.inverse();
     Ok(output.map(|t| {
         t.map(|value| match value {
@@ -69,6 +93,7 @@ pub fn naive_eval_const(expr: &RaExpr, db: &Database) -> Result<Relation> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::eval;
     use crate::expr::Condition;
     use certa_data::{database_from_literal, tup};
 

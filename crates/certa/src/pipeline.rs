@@ -32,7 +32,8 @@
 
 use certa_algebra::governor::{self, ExecBudget, Governor, GovernorAccounting};
 use certa_algebra::{
-    delta_profile, optimize, AlgebraError, DeltaProfile, PreparedQuery, RaExpr, Stats,
+    delta_profile, naive_eval_prepared, optimize, AlgebraError, DeltaProfile, PreparedQuery,
+    RaExpr, Stats,
 };
 use certa_certain::worlds::WorldSpec;
 use certa_certain::{CertainError, MaskBatch, PreparedApproxPair, PreparedTranslationPair};
@@ -44,7 +45,7 @@ use certa_data::{
 use certa_obs::{self as obs, MetricId};
 use certa_sql::lower::LoweredQuery;
 use certa_sql::{lower_to_algebra, parse, SqlError};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
@@ -130,50 +131,48 @@ pub struct BackendChoice {
     pub mask_stats: Option<certa_certain::MaskStats>,
 }
 
-/// The exact rungs for one instance, in the order the walk tries them, and
-/// why. Up to the mask threshold the masked pass comes first and lineage
-/// backs it up; up to the world bound lineage comes first and the masked
-/// pass covers what lineage cannot express; past the bound only lineage
-/// can answer.
-fn rungs(spec: &WorldSpec, db: &Database) -> (&'static [Backend], String) {
-    let worlds = spec.world_count(db);
+/// The exact rungs for an instance of `worlds` possible worlds, in the
+/// order the walk tries them. Up to the mask threshold the masked pass
+/// comes first and lineage backs it up; up to the world `bound` lineage
+/// comes first and the masked pass covers what lineage cannot express;
+/// past the bound only lineage can answer.
+fn rungs(worlds: usize, bound: usize) -> &'static [Backend] {
+    if worlds <= LINEAGE_WORLD_THRESHOLD {
+        &[Backend::Mask, Backend::Lineage]
+    } else if worlds <= bound {
+        &[Backend::Lineage, Backend::Mask]
+    } else {
+        &[Backend::Lineage]
+    }
+}
+
+/// Why [`rungs`] orders the instance as it does, in words, for
+/// [`Pipeline::explain`].
+fn rungs_reason(spec: &WorldSpec, nulls: usize, worlds: usize) -> String {
     let shown = match worlds {
         usize::MAX => "≥ usize::MAX".to_string(),
         n => n.to_string(),
     };
-    let instance = format!(
-        "{shown} world(s) ({} null(s) over a {}-constant pool)",
-        db.nulls().len(),
-        spec.pool().len()
-    );
-    let (rungs, plan): (&'static [Backend], _) = if worlds <= LINEAGE_WORLD_THRESHOLD {
-        let blocks = worlds.div_ceil(64);
-        (
-            &[Backend::Mask, Backend::Lineage],
-            format!(
-                "is within the mask threshold of {LINEAGE_WORLD_THRESHOLD}: one masked \
-                 pass decides all worlds at {blocks} block(s) per tuple"
-            ),
-        )
-    } else if worlds <= spec.bound() {
-        (
-            &[Backend::Lineage, Backend::Mask],
-            format!(
-                "exceeds the mask threshold of {LINEAGE_WORLD_THRESHOLD}; compiling \
-                 lineage diagrams instead"
-            ),
-        )
-    } else {
-        (
-            &[Backend::Lineage],
-            format!(
-                "exceeds the mask threshold of {LINEAGE_WORLD_THRESHOLD} and the world \
-                 bound of {}; compiling lineage diagrams, the only exact backend past it",
-                spec.bound()
-            ),
-        )
+    let plan = match rungs(worlds, spec.bound()) {
+        [Backend::Mask, ..] => format!(
+            "is within the mask threshold of {LINEAGE_WORLD_THRESHOLD}: one masked \
+             pass decides all worlds at {} block(s) per tuple",
+            worlds.div_ceil(64)
+        ),
+        [Backend::Lineage, Backend::Mask] => format!(
+            "exceeds the mask threshold of {LINEAGE_WORLD_THRESHOLD}; compiling \
+             lineage diagrams instead"
+        ),
+        _ => format!(
+            "exceeds the mask threshold of {LINEAGE_WORLD_THRESHOLD} and the world \
+             bound of {}; compiling lineage diagrams, the only exact backend past it",
+            spec.bound()
+        ),
     };
-    (rungs, format!("{instance} {plan}"))
+    format!(
+        "{shown} world(s) ({nulls} null(s) over a {}-constant pool) {plan}",
+        spec.pool().len()
+    )
 }
 
 /// Try `rungs` in order under one set of rules: a fragment boundary moves
@@ -793,8 +792,12 @@ fn execute_exact(
                 }
                 // Candidates are NOT stable under updates (a resolution can
                 // create one, e.g. σ_{a=42}(R) over R = {⊥} after ⊥ := 42):
-                // always re-derive them on the current database.
-                let candidates = certa_algebra::naive_eval(&entry.lowered.expr, db)?;
+                // always re-derive them on the current database. The cached
+                // pool dates from an earlier epoch, so the renaming avoids
+                // the current constants instead.
+                let mut avoid = db.consts();
+                avoid.extend(entry.lowered.expr.consts());
+                let candidates = naive_eval_prepared(&entry.plain, db, &avoid)?;
                 let tuples: Vec<Tuple> = candidates.iter().cloned().collect();
                 let statuses = mask.batch.classify(&tuples)?;
                 let answers = LabeledAnswers {
@@ -831,7 +834,8 @@ fn execute_exact(
     tally(&mut entry.counters, Tally::Recomputed);
     entry.exact = None;
     let spec = certa_certain::worlds::exact_pool(&entry.lowered.expr, db);
-    let (rungs, _) = rungs(&spec, db);
+    let worlds = spec.world_count(db);
+    let rungs = rungs(worlds, spec.bound());
     obs::metrics().add(
         match rungs[0] {
             Backend::Mask => MetricId::DispatchMask,
@@ -840,8 +844,11 @@ fn execute_exact(
         1,
     );
     // Candidate derivation is governed too: a trip here degrades like a
-    // trip on the last rung.
-    let candidates = match isolated(|| Ok(certa_algebra::naive_eval(&entry.lowered.expr, db)?)) {
+    // trip on the last rung. The cached plan runs over the bijective
+    // renaming; the pool holds every constant of the database and of the
+    // query, so the renaming that avoids it is fresh.
+    let avoid: BTreeSet<Const> = spec.pool().iter().cloned().collect();
+    let candidates = match isolated(|| Ok(naive_eval_prepared(&entry.plain, db, &avoid)?)) {
         Ok(candidates) => candidates,
         Err(e) => return degrade(entry, db, columns, e),
     };
@@ -882,7 +889,7 @@ fn execute_exact(
         // Without a trip the rungs run out only past the world bound, where
         // lineage is the only rung and the query is outside its fragment.
         Ok(None) => {
-            let (worlds, bound) = (spec.world_count(db), spec.bound());
+            let bound = spec.bound();
             return Err(CertainError::TooManyWorlds { worlds, bound }.into());
         }
         Err(e) => return degrade(entry, db, columns, e),
@@ -1282,9 +1289,10 @@ impl Pipeline {
     pub fn explain(&mut self, sql: &str, db: &Database) -> Result<Explain> {
         let entry = self.entry(sql, db.schema())?;
         let spec = certa_certain::worlds::exact_pool(&entry.lowered.expr, db);
-        let (rungs, mut reason) = rungs(&spec, db);
+        let (nulls, worlds) = (db.nulls().len(), spec.world_count(db));
+        let mut reason = rungs_reason(&spec, nulls, worlds);
         let mut boundary = None;
-        let walked = walk(rungs, |backend| match backend {
+        let walked = walk(rungs(worlds, spec.bound()), |backend| match backend {
             Backend::Lineage => {
                 let batch = certa_lineage::LineageBatch::compile(&entry.optimized, db, spec.pool())
                     .map_err(|e| {
@@ -1316,9 +1324,9 @@ impl Pipeline {
         let backend = BackendChoice {
             backend,
             reason,
-            nulls: db.nulls().len(),
+            nulls,
             pool: spec.pool().len(),
-            worlds: spec.world_count(db),
+            worlds,
             diagram_nodes,
             mask_stats,
         };
@@ -1350,7 +1358,7 @@ impl Pipeline {
             logical_before: entry.lowered.expr.to_string(),
             logical_after: entry.optimized.to_string(),
             physical: entry.plain.plan().to_string(),
-            worlds: spec.world_count(db),
+            worlds,
             backend,
             cache_hits: hits,
             cache_misses: misses,

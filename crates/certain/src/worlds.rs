@@ -64,8 +64,9 @@ impl WorldSpec {
     }
 
     /// The worker-thread count that will actually run: the request clamped
-    /// to [`std::thread::available_parallelism`]. "16 workers" on a 1-CPU
-    /// host is 1 worker, and `explain()` reports it as such.
+    /// to [`std::thread::available_parallelism`], read once per process
+    /// ([`certa_algebra::morsel::effective_threads`]). "16 workers" on a
+    /// 1-CPU host is 1 worker, and `explain()` reports it as such.
     pub fn effective_threads(&self) -> usize {
         certa_algebra::morsel::effective_threads(self.threads)
     }

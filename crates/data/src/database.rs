@@ -810,9 +810,16 @@ impl Database {
         self.wal_reset_now(name)
     }
 
-    /// Set of constants occurring in the database, `Const(D)`.
+    /// Set of constants occurring in the database, `Const(D)`, collected in
+    /// one pass into one set.
     pub fn consts(&self) -> BTreeSet<Const> {
-        self.relations.values().flat_map(Relation::consts).collect()
+        self.relations
+            .values()
+            .flat_map(Relation::iter)
+            .flat_map(Tuple::iter)
+            .filter_map(Value::as_const)
+            .cloned()
+            .collect()
     }
 
     /// Total number of tuples across all relations.

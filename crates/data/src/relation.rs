@@ -194,9 +194,15 @@ impl Relation {
         self.tuples.iter().flat_map(|t| t.nulls()).collect()
     }
 
-    /// All constants occurring in the relation.
+    /// All constants occurring in the relation, collected in one pass into
+    /// one set.
     pub fn consts(&self) -> BTreeSet<Const> {
-        self.tuples.iter().flat_map(|t| t.consts()).collect()
+        self.tuples
+            .iter()
+            .flat_map(Tuple::iter)
+            .filter_map(Value::as_const)
+            .cloned()
+            .collect()
     }
 
     /// All values (the relation's contribution to the active domain).

@@ -277,3 +277,149 @@ fn mu_k_respects_naive_membership() {
         }
     }
 }
+
+/// Instances for the naïve-evaluation properties: three relations, three
+/// marked nulls that repeat across tuples, constants from `0..4`.
+fn naive_instance(seed: u64) -> Database {
+    random_database(&RandomDbConfig {
+        relations: vec![
+            ("R".to_string(), 2),
+            ("S".to_string(), 1),
+            ("T".to_string(), 3),
+        ],
+        tuples_per_relation: 4,
+        domain_size: 4,
+        null_count: 3,
+        null_rate: 0.3,
+        seed,
+    })
+}
+
+/// `Qⁿᵃⁱᵛᵉ(D)` by its definition (§4.1): rename the nulls with a bijective
+/// `v` into constants outside `Const(D) ∪ Const(Q)`, evaluate the renamed
+/// database with the seed's recursive interpreter, and map the fresh
+/// constants back with `v⁻¹`.
+fn naive_by_definition(query: &RaExpr, db: &Database) -> Relation {
+    let mut avoid = db.consts();
+    avoid.extend(query.consts());
+    let v = Valuation::bijective_fresh(&db.nulls(), &avoid);
+    let renamed =
+        certa::algebra::reference::eval_set_reference(query, &v.apply_database(db)).unwrap();
+    let inverse = v.inverse();
+    renamed.map(|t| {
+        t.map(|x| match x {
+            Value::Const(c) => inverse
+                .get(c)
+                .map_or_else(|| x.clone(), |null| Value::Null(*null)),
+            Value::Null(_) => x.clone(),
+        })
+    })
+}
+
+/// The seeded `random_sql` statement over `db`'s schema.
+fn sql_for(seed: u64, db: &Database) -> String {
+    certa::workload::random_sql(
+        db.schema(),
+        &certa::workload::RandomSqlConfig {
+            seed,
+            ..Default::default()
+        },
+    )
+}
+
+/// `naive_eval` equals the definition on queries with difference and
+/// disequality, and on lowered SQL with `IS NULL`, `NOT IN` and `NULL`
+/// literals (whose `null(·)`/`const(·)` tests are not generic, so the
+/// renaming must really happen).
+#[test]
+fn naive_eval_matches_its_definition() {
+    for seed in 0..CASES {
+        let db = naive_instance(seed);
+        let query = random_query(
+            db.schema(),
+            &RandomQueryConfig {
+                max_depth: 3,
+                allow_difference: true,
+                allow_disequality: true,
+                seed,
+            },
+        );
+        assert_eq!(
+            naive_eval(&query, &db).unwrap(),
+            naive_by_definition(&query, &db),
+            "seed {seed}: query {query}\non\n{db}"
+        );
+    }
+    // Both lowerings: the textbook one the pipeline runs, and the
+    // SQL-faithful one, which alone accepts `NULL` literals and guards
+    // comparisons with `const(·)`.
+    let mut lowered = 0;
+    let mut features = [0; 3];
+    for seed in 0..CASES {
+        let db = naive_instance(seed);
+        let sql = sql_for(seed, &db);
+        let stmt = sql_parse(&sql).unwrap();
+        let lowerings = [
+            lower_to_algebra(&stmt, db.schema()),
+            certa::sql::lower_to_algebra_3vl(&stmt, db.schema()),
+        ];
+        for lowering in lowerings.into_iter().flatten() {
+            assert_eq!(
+                naive_eval(&lowering.expr, &db).unwrap(),
+                naive_by_definition(&lowering.expr, &db),
+                "seed {seed}: {sql} as {}\non\n{db}",
+                lowering.expr
+            );
+            lowered += 1;
+            for (n, feature) in features.iter_mut().zip(["IS NULL", "NOT IN", "= NULL"]) {
+                *n += usize::from(sql.contains(feature));
+            }
+        }
+    }
+    assert!(lowered >= CASES, "only {lowered} lowerings evaluated");
+    assert!(
+        features.iter().all(|&n| n > 0),
+        "IS NULL / NOT IN / NULL literal lowerings: {features:?}"
+    );
+}
+
+/// The exact scheme labels every naïve candidate and nothing else: the row
+/// tuples of `Pipeline::execute` equal `naive_eval` of the lowered
+/// statement on a fresh instance, and again on the same pipeline after a
+/// null resolution and an insert inside the cached constant pool, which
+/// take the answer cache's refine path.
+#[test]
+fn exact_rows_are_the_naive_candidates() {
+    fn check(p: &mut Pipeline, sql: &str, expr: &RaExpr, db: &Database, seed: u64, step: &str) {
+        let answers = p.execute(sql, db, Scheme::Exact).unwrap();
+        let rows: std::collections::BTreeSet<Tuple> =
+            answers.rows.iter().map(|(t, _)| t.clone()).collect();
+        assert_eq!(rows.len(), answers.rows.len(), "seed {seed}: repeated row");
+        let naive: std::collections::BTreeSet<Tuple> =
+            naive_eval(expr, db).unwrap().iter().cloned().collect();
+        assert_eq!(rows, naive, "seed {seed} ({step}): {sql}\non\n{db}");
+    }
+    let mut refined = 0;
+    for seed in 0..2 * CASES {
+        let mut db = naive_instance(seed);
+        let sql = sql_for(seed, &db);
+        let Ok(lowered) = lower_to_algebra(&sql_parse(&sql).unwrap(), db.schema()) else {
+            continue;
+        };
+        let expr = lowered.expr;
+        let mut p = Pipeline::new();
+        check(&mut p, &sql, &expr, &db, seed, "fresh");
+        let consts: Vec<Const> = db.consts().into_iter().collect();
+        if let (Some(&null), Some(value)) = (db.nulls().first(), consts.first()) {
+            assert!(db.resolve_null(null, value.clone()) > 0);
+            check(&mut p, &sql, &expr, &db, seed, "after a resolution");
+        }
+        if let (Some(a), Some(b)) = (consts.first(), consts.last()) {
+            let t = Tuple::new([Value::Const(a.clone()), Value::Const(b.clone())]);
+            db.insert("R", t).unwrap();
+            check(&mut p, &sql, &expr, &db, seed, "after an insert");
+        }
+        refined += p.explain(&sql, &db).unwrap().maintenance.refined;
+    }
+    assert!(refined > 0, "no request took the refine path");
+}
